@@ -11,10 +11,8 @@ from .laurent import (
     LaurentPoly,
     MonicPoly,
     ParseError,
-    add,
     divmod_monic,
     euler_class,
-    mul,
     normalize,
     parse_laurent,
 )
@@ -54,10 +52,8 @@ __all__ = [
     "LaurentPoly",
     "MonicPoly",
     "ParseError",
-    "add",
     "divmod_monic",
     "euler_class",
-    "mul",
     "normalize",
     "parse_laurent",
     "WpsData",

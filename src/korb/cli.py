@@ -30,7 +30,8 @@ from .sectors import (
     build_wps,
     check_sector,
     fixed_set,
-    obstruction_set,
+    fixed_weights,
+    pair_weights,
 )
 
 
@@ -47,7 +48,11 @@ def _weights_str(d: WpsData) -> str:
     return ",".join(str(w) for w in d.b)
 
 
-def _zeta_text(s: int, ell: int) -> str:
+# Rendering atoms.  Each takes latex=True for LaTeX and gives the text
+# form otherwise; JSON fields use the text form.
+
+
+def _zeta(s: int, ell: int, latex: bool) -> str:
     f = Fraction(s, ell)
     if f == 0:
         return "1"
@@ -58,61 +63,48 @@ def _zeta_text(s: int, ell: int) -> str:
         return "i"
     if (p, q) == (3, 4):
         return "-i"
-    return f"e^(2*pi*i*{p}/{q})"
+    return f"e^{{2\\pi i\\,{p}/{q}}}" if latex else f"e^(2*pi*i*{p}/{q})"
 
 
-def _zeta_latex(s: int, ell: int) -> str:
-    f = Fraction(s, ell)
-    if f == 0:
-        return "1"
-    p, q = f.numerator, f.denominator
-    if (p, q) == (1, 2):
-        return "-1"
-    if (p, q) == (1, 4):
-        return "i"
-    if (p, q) == (3, 4):
-        return "-i"
-    return f"e^{{2\\pi i\\,{p}/{q}}}"
-
-
-def _fixed_text(d: WpsData, ks: tuple[int, ...]) -> str:
-    if len(ks) == len(d.b):
-        return f"C^{len(d.b)}"
-    if not ks:
+def _fixed(ws: tuple[int, ...], n: int, latex: bool) -> str:
+    """The fixed locus from the weights of the fixed coordinates."""
+    if len(ws) == n:
+        return f"\\mathbb{{C}}^{{{n}}}" if latex else f"C^{n}"
+    if not ws:
         return "0"
-    return " + ".join(f"C_({d.b[k]})" for k in ks)
+    if latex:
+        return " \\oplus ".join(f"\\mathbb{{C}}_{{({w})}}" for w in ws)
+    return " + ".join(f"C_({w})" for w in ws)
 
 
-def _fixed_latex(d: WpsData, ks: tuple[int, ...]) -> str:
-    if len(ks) == len(d.b):
-        return f"\\mathbb{{C}}^{{{len(d.b)}}}"
-    if not ks:
-        return "0"
-    return " \\oplus ".join(f"\\mathbb{{C}}_{{({d.b[k]})}}" for k in ks)
-
-
-def _logw_text(d: WpsData, k: int, s: int) -> str:
-    return str(Fraction(d.logw[k][s], d.ell))
-
-
-def _logw_latex(d: WpsData, k: int, s: int) -> str:
+def _logw(d: WpsData, k: int, s: int, latex: bool) -> str:
     f = Fraction(d.logw[k][s], d.ell)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"\\frac{{{f.numerator}}}{{{f.denominator}}}"
+    if latex and f.denominator != 1:
+        return f"\\frac{{{f.numerator}}}{{{f.denominator}}}"
+    return str(f)
 
 
-def _factors_text(weights: tuple[int, ...]) -> str:
-    return "".join(f"(1-u^-{w})" for w in weights) or "1"
-
-
-def _factors_latex(weights: tuple[int, ...]) -> str:
-    return "".join(f"(1-u^{{-{w}}})" for w in weights) or "1"
+def _factors(ws: tuple[int, ...], latex: bool) -> str:
+    """The Euler-class product over ws, factored; 1 when empty."""
+    if latex:
+        return "".join(f"(1-u^{{-{w}}})" for w in ws) or "1"
+    return "".join(f"(1-u^-{w})" for w in ws) or "1"
 
 
 def _sub(base: str, idx: int) -> str:
     # TeX only needs subscript braces past one character
     return f"{base}_{idx}" if 0 <= idx <= 9 else f"{base}_{{{idx}}}"
+
+
+def _alpha(s: int, latex: bool) -> str:
+    return _sub("\\alpha", s) if latex else f"alpha_{s}"
+
+
+def _cell(ws: tuple[int, ...], s: int, latex: bool) -> str:
+    """ws-factors times alpha_s, with no factor when ws is empty."""
+    if not ws:
+        return _alpha(s, latex)
+    return _factors(ws, latex) + ("" if latex else " ") + _alpha(s, latex)
 
 
 def _poly_latex(p: LaurentPoly) -> str:
@@ -133,14 +125,6 @@ def _poly_latex(p: LaurentPoly) -> str:
     return "".join(parts)
 
 
-def _obstruction_weights(d: WpsData, s: int, t: int) -> tuple[int, ...]:
-    return tuple(d.b[k] for k in obstruction_set(d, s, t))
-
-
-def _fixed_weights(d: WpsData, s: int) -> tuple[int, ...]:
-    return tuple(d.b[k] for k in fixed_set(d, s))
-
-
 def _header_lines(d: WpsData) -> list[str]:
     return [f"weights: {_weights_str(d)}", f"ell: {d.ell}"]
 
@@ -151,14 +135,21 @@ def _json_doc(kind: str, d: WpsData, **extra) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_rows(rows) -> list[dict]:
+    return [
+        {"s": s, "t": t, "target": tgt, "coeff": str(c)} for s, t, tgt, c in rows
+    ]
+
+
 def cmd_chart(d: WpsData, fmt: str) -> str:
+    n = len(d.b)
     if fmt == "json":
         sectors = [
             {
                 "s": s,
-                "zeta": _zeta_text(s, d.ell),
+                "zeta": _zeta(s, d.ell, False),
                 "fixed": list(fixed_set(d, s)),
-                "logweights": [_logw_text(d, k, s) for k in range(len(d.b))],
+                "logweights": [_logw(d, k, s, False) for k in range(n)],
                 "generator": f"alpha_{s}",
             }
             for s in range(d.ell)
@@ -169,83 +160,66 @@ def cmd_chart(d: WpsData, fmt: str) -> str:
         rows = [
             "s & " + " & ".join(str(s) for s in range(d.ell)) + " \\\\ \\hline \\hline",
             "\\zeta_s & "
-            + " & ".join(_zeta_latex(s, d.ell) for s in range(d.ell))
+            + " & ".join(_zeta(s, d.ell, True) for s in range(d.ell))
             + " \\\\ \\hline",
             "\\text{fixed locus} & "
-            + " & ".join(_fixed_latex(d, fixed_set(d, s)) for s in range(d.ell))
+            + " & ".join(_fixed(fixed_weights(d, s), n, True) for s in range(d.ell))
             + " \\\\ \\hline",
         ]
-        for k in range(len(d.b)):
+        for k in range(n):
             rows.append(
                 _sub("a", k) + "(\\zeta_s) & "
-                + " & ".join(_logw_latex(d, k, s) for s in range(d.ell))
+                + " & ".join(_logw(d, k, s, True) for s in range(d.ell))
                 + " \\\\ \\hline"
             )
         rows.append(
             "\\text{generator} & "
-            + " & ".join(_sub("\\alpha", s) for s in range(d.ell))
+            + " & ".join(_alpha(s, True) for s in range(d.ell))
             + " \\\\ \\hline"
         )
         body = "\n".join(rows)
         return f"\\begin{{array}}{{{cols}}}\n{body}\n\\end{{array}}"
     lines = _header_lines(d)
     for s in range(d.ell):
-        ks = fixed_set(d, s)
-        logw = ", ".join(_logw_text(d, k, s) for k in range(len(d.b)))
+        logw = ", ".join(_logw(d, k, s, False) for k in range(n))
         lines.append(
-            f"sector {s}: zeta = {_zeta_text(s, d.ell)}, "
-            f"fixed = {_fixed_text(d, ks)}, "
+            f"sector {s}: zeta = {_zeta(s, d.ell, False)}, "
+            f"fixed = {_fixed(fixed_weights(d, s), n, False)}, "
             f"logweights = ({logw}), generator = alpha_{s}"
         )
     return "\n".join(lines)
 
 
-def _table_display_range(ell: int) -> range:
-    # alpha_0 is the unit, so the displayed table starts at sector 1
-    # unless there is nothing else to show
-    return range(1, ell) if ell > 1 else range(ell)
+def _display_pairs(d: WpsData):
+    """(s, t, target, obstruction weights) for the displayed s <= t, row
+    by row: the pairs the table and the I relations print."""
+    # alpha_0 is the unit, so the display starts at sector 1 unless there
+    # is nothing else to show
+    for s in range(1 if d.ell > 1 else 0, d.ell):
+        for t in range(s, d.ell):
+            yield s, t, (s + t) % d.ell, pair_weights(d, s, t)
 
 
 def cmd_table(d: WpsData, fmt: str) -> str:
-    rings = build_sector_rings(d)
     if fmt == "json":
-        rows = [
-            {"s": s, "t": t, "target": tgt, "coeff": str(c)}
-            for s, t, tgt, c in generator_table(rings, d)
-        ]
-        return _json_doc("table", d, tableI=rows)
+        rows = generator_table(build_sector_rings(d), d)
+        return _json_doc("table", d, tableI=_json_rows(rows))
     if fmt == "latex":
-        show = _table_display_range(d.ell)
-        header = (
-            " & "
-            + " & ".join(_sub("\\alpha", t) for t in show)
-            + " \\\\ \\hline \\hline"
-        )
-        lines = [header]
-        for s in show:
-            cells = []
-            for t in show:
-                if t < s:
-                    cells.append("")
-                else:
-                    tgt = (s + t) % d.ell
-                    ws = _obstruction_weights(d, s, t)
-                    coeff = _factors_latex(ws) if ws else ""
-                    cells.append(coeff + _sub("\\alpha", tgt))
-            lines.append(_sub("\\alpha", s) + " & " + " & ".join(cells) + " \\\\ \\hline")
-        cols = "c||" + "|".join("c" for _ in show) + "|"
+        rows = []
+        for s, t, tgt, ws in _display_pairs(d):
+            if t == s:
+                # the cells left of the diagonal stay empty
+                rows.append([_alpha(s, True)] + [""] * len(rows))
+            rows[-1].append(_cell(ws, tgt, True))
+        header = " & " + " & ".join(row[0] for row in rows)
+        lines = [header + " \\\\ \\hline \\hline"]
+        lines += [" & ".join(row) + " \\\\ \\hline" for row in rows]
+        cols = "c||" + "|".join("c" * len(rows)) + "|"
         body = "\n".join(lines)
         return f"\\begin{{array}}{{{cols}}}\n{body}\n\\end{{array}}"
     lines = _header_lines(d)
-    show = _table_display_range(d.ell)
-    for s in show:
-        for t in show:
-            if t < s:
-                continue
-            tgt = (s + t) % d.ell
-            ws = _obstruction_weights(d, s, t)
-            cell = f"alpha_{tgt}" if not ws else f"{_factors_text(ws)} alpha_{tgt}"
-            lines.append(f"alpha_{s} * alpha_{t} = {cell}")
+    for s, t, tgt, ws in _display_pairs(d):
+        lines.append(f"alpha_{s} * alpha_{t} = {_cell(ws, tgt, False)}")
     return "\n".join(lines)
 
 
@@ -265,48 +239,39 @@ def cmd_kernels(d: WpsData, fmt: str) -> str:
     if fmt == "latex":
         lines = ["\\begin{align*}"]
         for r in rings:
-            ws = _fixed_weights(d, r.sector)
-            prod = _factors_latex(ws) if ws else "1"
+            prod = _factors(fixed_weights(d, r.sector), True)
             sep = " \\\\" if r.sector < d.ell - 1 else ""
             lines.append(
                 "\\ker(" + _sub("\\kappa", r.sector) + ") &= \\langle "
-                + _sub("\\alpha", r.sector) + f" {prod} \\rangle{sep}"
+                + _alpha(r.sector, True) + f" {prod} \\rangle{sep}"
             )
         lines.append("\\end{align*}")
         return "\n".join(lines)
     lines = _header_lines(d)
     for r in rings:
-        ws = _fixed_weights(d, r.sector)
-        lines.append(f"s={r.sector}: {_factors_text(ws)}  [rank {r.rank}]")
+        prod = _factors(fixed_weights(d, r.sector), False)
+        lines.append(f"s={r.sector}: {prod}  [rank {r.rank}]")
     return "\n".join(lines)
 
 
 def cmd_present(d: WpsData, fmt: str) -> str:
-    pres = presentation(d)
     if fmt == "json":
-        rows_i = [
-            {"s": s, "t": t, "target": tgt, "coeff": str(c)}
-            for s, t, tgt, c in pres.relations_i
-        ]
+        pres = presentation(d)
+        rows_i = _json_rows(pres.relations_i)
         rows_j = [{"s": s, "gen": str(g)} for s, g in pres.relations_j]
         return _json_doc(
             "presentation", d, tableI=rows_i, tableJ=rows_j, unit=pres.unit_relation
         )
-    show = set(_table_display_range(d.ell))
     if fmt == "latex":
         lines = ["\\begin{align*}"]
-        for s, t, tgt, _ in pres.relations_i:
-            if s not in show or t not in show:
-                continue
-            ws = _obstruction_weights(d, s, t)
-            coeff = _factors_latex(ws) if ws else ""
+        for s, t, tgt, ws in _display_pairs(d):
             lines.append(
-                _sub("\\alpha", s) + " " + _sub("\\alpha", t) + " &= " + coeff + _sub("\\alpha", tgt) + " \\\\"
+                _alpha(s, True) + " " + _alpha(t, True) + " &= "
+                + _cell(ws, tgt, True) + " \\\\"
             )
-        for s, _ in pres.relations_j:
-            ws = _fixed_weights(d, s)
-            prod = _factors_latex(ws) if ws else "1"
-            lines.append(prod + "\\," + _sub("\\alpha", s) + " &= 0 \\\\")
+        for s in range(d.ell):
+            prod = _factors(fixed_weights(d, s), True)
+            lines.append(prod + "\\," + _alpha(s, True) + " &= 0 \\\\")
         lines.append("\\alpha_0 &= 1")
         lines.append("\\end{align*}")
         return "\n".join(lines)
@@ -315,19 +280,11 @@ def cmd_present(d: WpsData, fmt: str) -> str:
         "generators: " + ", ".join(f"alpha_{s}" for s in range(d.ell))
     )
     lines.append("I relations:")
-    for s, t, tgt, _ in pres.relations_i:
-        if s not in show or t not in show:
-            continue
-        ws = _obstruction_weights(d, s, t)
-        cell = f"alpha_{tgt}" if not ws else f"{_factors_text(ws)} alpha_{tgt}"
-        lines.append(f"  alpha_{s} alpha_{t} - {cell}")
+    for s, t, tgt, ws in _display_pairs(d):
+        lines.append(f"  alpha_{s} alpha_{t} - {_cell(ws, tgt, False)}")
     lines.append("J relations:")
-    for s, _ in pres.relations_j:
-        ws = _fixed_weights(d, s)
-        if ws:
-            lines.append(f"  {_factors_text(ws)} alpha_{s}")
-        else:
-            lines.append(f"  alpha_{s}")
+    for s in range(d.ell):
+        lines.append(f"  {_cell(fixed_weights(d, s), s, False)}")
     lines.append("unit relation: alpha_0 - 1")
     return "\n".join(lines)
 
@@ -449,9 +406,9 @@ def cmd_mul(d: WpsData, lhs: str, rhs: str, fmt: str) -> str:
         parts = []
         for s, c in nonzero:
             if c == 1:
-                parts.append(_sub("\\alpha", s))
+                parts.append(_alpha(s, True))
             else:
-                parts.append(f"({_poly_latex(c)})\\," + _sub("\\alpha", s))
+                parts.append(f"({_poly_latex(c)})\\," + _alpha(s, True))
         return " + ".join(parts)
     if not nonzero:
         return "0"

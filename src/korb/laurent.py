@@ -210,24 +210,6 @@ class MonicPoly:
         return str(self.as_laurent())
 
 
-def add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Termwise sum in canonical form.
-
-    >>> add(parse_laurent("1 - u^-1"), parse_laurent("u^-1"))
-    1
-    """
-    return a + b
-
-
-def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact convolution product.
-
-    >>> mul(parse_laurent("1 - u^-1"), parse_laurent("1 - u^-2"))
-    1 - u^-1 - u^-2 + u^-3
-    """
-    return a * b
-
-
 def euler_class(lam: int) -> LaurentPoly:
     """The class 1 - u^-lam of the weight-lam line; lam must be nonzero.
 

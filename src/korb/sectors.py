@@ -10,6 +10,7 @@ generator of each sector's quotient ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from .laurent import LaurentPoly, euler_class
@@ -33,7 +34,7 @@ def build_wps(b) -> WpsData:
     if not bt:
         raise ValueError("weight vector must not be empty")
     for k, w in enumerate(bt):
-        if not isinstance(w, int) or w < 1:
+        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise ValueError(f"weight b_{k} must be a positive integer, got {w!r}")
     ell = lcm(*bt)
     logw = tuple(tuple(w * s % ell for s in range(ell)) for w in bt)
@@ -58,10 +59,11 @@ def obstruction_exponent(d: WpsData, k: int, s: int, t: int) -> int:
     if not 0 <= k < len(d.b):
         raise ValueError(f"coordinate index {k} out of range [0, {len(d.b)})")
     row = d.logw[k]
-    num = row[s] + row[t] - row[(s + t) % d.ell]
-    assert num % d.ell == 0, (d.b, k, s, t)
-    e = num // d.ell
-    assert e in (0, 1), (d.b, k, s, t)
+    e, rem = divmod(row[s] + row[t] - row[(s + t) % d.ell], d.ell)
+    if rem or e not in (0, 1):
+        raise ValueError(
+            f"obstruction exponent not in {{0,1}} at (b, k, s, t) = {(d.b, k, s, t)}"
+        )
     return e
 
 
@@ -72,16 +74,37 @@ def obstruction_set(d: WpsData, s: int, t: int) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def euler_product(weights: tuple[int, ...]) -> LaurentPoly:
+    """The product of 1 - u^-w over weights, expanded; 1 when empty.
+
+    Memoised by the weight tuple, so a weight vector with n+1 coordinates
+    yields at most 2^(n+1) distinct values.  Results are shared between
+    all callers: treat them as read-only.
+    """
+    out = LaurentPoly.one()
+    for w in weights:
+        out = out * euler_class(w)
+    return out
+
+
+def pair_weights(d: WpsData, s: int, t: int) -> tuple[int, ...]:
+    """Weights of the coordinates obstructed for the pair (s, t)."""
+    return tuple(d.b[k] for k in obstruction_set(d, s, t))
+
+
+def fixed_weights(d: WpsData, s: int) -> tuple[int, ...]:
+    """Weights of the coordinates fixed by sector s."""
+    return tuple(d.b[k] for k in fixed_set(d, s))
+
+
 def structure_coefficient(d: WpsData, s: int, t: int) -> LaurentPoly:
     """The coefficient of alpha_[s+t] in alpha_s * alpha_t, expanded.
 
     A product of Euler classes 1 - u^-b_k, one factor for each k whose
-    obstruction exponent is 1.  Symmetric in s and t.
+    obstruction exponent is 1.  Symmetric in s and t.  Shared: read-only.
     """
-    out = LaurentPoly.one()
-    for k in obstruction_set(d, s, t):
-        out = out * euler_class(d.b[k])
-    return out
+    return euler_product(pair_weights(d, s, t))
 
 
 def kernel_generator(d: WpsData, s: int) -> LaurentPoly:
@@ -89,9 +112,6 @@ def kernel_generator(d: WpsData, s: int) -> LaurentPoly:
 
     The product of 1 - u^-b_k over the coordinates fixed by s.  An empty
     product gives 1: the sector misses the level set and collapses to the
-    zero ring.
+    zero ring.  Shared: read-only.
     """
-    out = LaurentPoly.one()
-    for k in fixed_set(d, s):
-        out = out * euler_class(d.b[k])
-    return out
+    return euler_product(fixed_weights(d, s))

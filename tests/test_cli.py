@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +297,27 @@ class TestLatexFormat:
             "mul", "1,2,4", "--format", "latex", "--lhs", "1:1", "--rhs", "2:1"
         )
         assert out == "\\alpha_3\n"
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+class TestByteGoldens:
+    """Full stdout pinned byte for byte, one file per command, weights and
+    format: goldens/<command>_<weights with '-'>.<format>.txt."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(GOLDENS.glob("*.txt")), ids=lambda p: p.stem
+    )
+    def test_stdout(self, path):
+        stem, fmt = path.stem.rsplit(".", 1)
+        command, weights = stem.split("_")
+        code, out, err = run(command, weights.replace("-", ","), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == path.read_text()
+
+    def test_every_golden_is_collected(self):
+        assert len(list(GOLDENS.glob("*.txt"))) == 14
 
 
 class TestCrossFormatConsistency:

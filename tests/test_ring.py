@@ -19,7 +19,7 @@ from korb.ring import (
     verify,
     zero_element,
 )
-from korb.sectors import build_wps, structure_coefficient
+from korb.sectors import WpsData, build_wps, structure_coefficient
 
 E1 = euler_class(1)
 E2 = euler_class(2)
@@ -307,6 +307,14 @@ class TestVerify:
 
     def test_point_trivial(self):
         assert verify(build_wps((1,)), trials=1, seed=0).passed
+
+    def test_corrupt_logweights_reported_not_raised(self):
+        # logw[1] should read (0, 0); 3 + 3 - 0 = 6 gives exponent 3
+        rep = verify(WpsData((1, 2), 2, ((0, 1), (0, 3))), trials=1)
+        assert not rep.passed
+        assert rep.failures == (
+            "obstruction exponent not in {0,1} at (b, k, s, t) = ((1, 2), 1, 1, 1)",
+        )
 
     def test_deterministic_given_seed(self, d124):
         assert verify(d124, trials=20, seed=9) == verify(d124, trials=20, seed=9)

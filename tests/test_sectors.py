@@ -5,10 +5,13 @@ import pytest
 from korb.laurent import LaurentPoly, euler_class, parse_laurent
 from korb.sectors import (
     build_wps,
+    euler_product,
     fixed_set,
+    fixed_weights,
     kernel_generator,
     obstruction_exponent,
     obstruction_set,
+    pair_weights,
     structure_coefficient,
 )
 
@@ -44,6 +47,8 @@ class TestBuildWps:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError, match="b_0"):
             build_wps((2.5, 1))
+        with pytest.raises(ValueError, match="b_0 must be a positive integer, got True"):
+            build_wps((True, 2))
 
     def test_non_effective_weights_allowed(self):
         d = build_wps((2, 4))
@@ -150,6 +155,20 @@ class TestStructureCoefficient:
                     if k not in on:
                         complement = complement * euler_class(d.b[k])
                 assert structure_coefficient(d, s, t) * complement == full
+
+
+class TestEulerProduct:
+    def test_expansion(self):
+        assert euler_product(()) == 1
+        assert euler_product((1, 2)) == parse_laurent("1 - u^-1 - u^-2 + u^-3")
+
+    def test_coefficients_and_kernels_share_one_value(self):
+        d = build_wps((1, 2, 4))
+        assert pair_weights(d, 3, 3) == (1, 2)
+        assert fixed_weights(d, 2) == (2, 4)
+        assert structure_coefficient(d, 3, 3) is euler_product((1, 2))
+        assert structure_coefficient(d, 1, 3) is structure_coefficient(d, 3, 3)
+        assert kernel_generator(d, 2) is euler_product((2, 4))
 
 
 class TestKernelGenerator:
