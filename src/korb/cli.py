@@ -202,7 +202,7 @@ def _display_pairs(d: WpsData):
 
 def cmd_table(d: WpsData, fmt: str) -> str:
     if fmt == "json":
-        rows = generator_table(build_sector_rings(d), d)
+        rows = generator_table(d)
         return _json_doc("table", d, tableI=_json_rows(rows))
     if fmt == "latex":
         rows = []

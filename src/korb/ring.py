@@ -192,34 +192,16 @@ def element_from_residues(
     return KOrbElement(d.b, tuple(comps))
 
 
-def _star(rings, ell, ctable, x: KOrbElement, y: KOrbElement) -> KOrbElement:
-    out = [LaurentPoly.zero()] * ell
-    for s, xs in enumerate(x.comps):
-        if xs.is_zero:
-            continue
-        for t, yt in enumerate(y.comps):
-            if yt.is_zero:
-                continue
-            tgt = (s + t) % ell
-            ring = rings[tgt]
-            if ring.rank == 0:
-                continue
-            out[tgt] = out[tgt] + reduce(ring, xs * yt * ctable[s][t])
-    return KOrbElement(x.weights, tuple(out))
-
-
-def _structure_table(rings, d: WpsData) -> list[list[LaurentPoly]]:
-    tab = [[None] * d.ell for _ in range(d.ell)]
-    for s, t, _, c in generator_table(rings, d):
-        tab[s][t] = tab[t][s] = c
-    return tab
-
-
 def star_multiply(
     rings: tuple[SectorRing, ...], d: WpsData, x: KOrbElement, y: KOrbElement
 ) -> KOrbElement:
     """Product in the full ring: convolve sectors, twist by the structure
     coefficient, reduce in the target sector.
+
+    Only pairs of nonzero components landing in a live sector are visited,
+    so c(s, t) is looked up for those pairs alone.  Their unreduced
+    products are summed per target and reduced once: reduce is Z-linear
+    and its residue unique, so this equals reducing every term.
 
     >>> from korb.sectors import build_wps
     >>> d = build_wps((1, 2, 4))
@@ -229,15 +211,31 @@ def star_multiply(
     """
     if x.weights != d.b or y.weights != d.b:
         raise ValueError("elements do not belong to this weight data")
-    return _star(rings, d.ell, _structure_table(rings, d), x, y)
+    if len(x.comps) != d.ell or len(y.comps) != d.ell:
+        raise ValueError(f"elements must have one component per sector ({d.ell})")
+    sums: dict[int, LaurentPoly] = {}
+    for s, xs in enumerate(x.comps):
+        if xs.is_zero:
+            continue
+        for t, yt in enumerate(y.comps):
+            if yt.is_zero:
+                continue
+            tgt = (s + t) % d.ell
+            if rings[tgt].rank == 0:
+                continue
+            term = xs * yt * structure_coefficient(d, s, t)
+            sums[tgt] = sums[tgt] + term if tgt in sums else term
+    out = [LaurentPoly.zero()] * d.ell
+    for tgt, p in sums.items():
+        out[tgt] = reduce(rings[tgt], p)
+    return KOrbElement(d.b, tuple(out))
 
 
-def generator_table(
-    rings: tuple[SectorRing, ...], d: WpsData
-) -> tuple[tuple[int, int, int, LaurentPoly], ...]:
+def generator_table(d: WpsData) -> tuple[tuple[int, int, int, LaurentPoly], ...]:
     """Rows (s, t, target, coefficient) for all pairs 0 <= s <= t < ell,
-    the one builder of pair rows.  Coefficients are kept unreduced, exactly
-    as the sector product rule writes them, and are shared: read-only."""
+    as the table and presentation outputs print them.  Coefficients are
+    kept unreduced, exactly as the sector product rule writes them, and
+    are shared: read-only."""
     return tuple(
         (s, t, (s + t) % d.ell, structure_coefficient(d, s, t))
         for s in range(d.ell)
@@ -246,9 +244,8 @@ def generator_table(
 
 
 def presentation(d: WpsData) -> Presentation:
-    rings = build_sector_rings(d)
-    rel_j = tuple((r.sector, r.gen) for r in rings)
-    return Presentation(d.b, d.ell, generator_table(rings, d), rel_j)
+    rel_j = tuple((s, kernel_generator(d, s)) for s in range(d.ell))
+    return Presentation(d.b, d.ell, generator_table(d), rel_j)
 
 
 def total_rank(rings: tuple[SectorRing, ...]) -> int:
@@ -371,25 +368,22 @@ def verify(d: WpsData, trials: int = 500, seed: int = 0) -> VerifyReport:
         return VerifyReport(d.b, d.ell, trials, seed, checks, tuple(failures), False)
 
     rings = build_sector_rings(d)
-    ctable = _structure_table(rings, d)
     one = unit_element(d)
     rng = random.Random(seed)
     for i in range(trials):
         x = random_element(rings, d, rng)
         y = random_element(rings, d, rng)
         z = random_element(rings, d, rng)
-        xy = _star(rings, d.ell, ctable, x, y)
-        if xy != _star(rings, d.ell, ctable, y, x):
+        xy = star_multiply(rings, d, x, y)
+        if xy != star_multiply(rings, d, y, x):
             failures.append(f"commutativity fails at trial {i}")
-        lhs = _star(rings, d.ell, ctable, xy, z)
-        rhs = _star(rings, d.ell, ctable, x, _star(rings, d.ell, ctable, y, z))
+        lhs = star_multiply(rings, d, xy, z)
+        rhs = star_multiply(rings, d, x, star_multiply(rings, d, y, z))
         if lhs != rhs:
             failures.append(f"associativity fails at trial {i}")
-        if _star(rings, d.ell, ctable, x, y + z) != xy + _star(
-            rings, d.ell, ctable, x, z
-        ):
+        if star_multiply(rings, d, x, y + z) != xy + star_multiply(rings, d, x, z):
             failures.append(f"distributivity fails at trial {i}")
-        if _star(rings, d.ell, ctable, one, x) != x:
+        if star_multiply(rings, d, one, x) != x:
             failures.append(f"unit law fails at trial {i}")
     return VerifyReport(
         d.b, d.ell, trials, seed, checks, tuple(failures), not failures

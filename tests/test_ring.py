@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import korb.ring
 from korb.laurent import LaurentPoly, divmod_monic, euler_class, parse_laurent
 from korb.ring import (
+    KOrbElement,
     alpha,
     build_sector_rings,
     check_exponents,
@@ -173,18 +175,26 @@ class TestStarMultiply:
         got = star_multiply(rings124, d124, alpha(rings124, d124, 1), alpha(rings124, d124, 2))
         assert got == alpha(rings124, d124, 3)
 
-    def test_all_generator_products_match_structure_rule(self, d124, rings124):
-        for s in range(4):
-            for t in range(4):
-                got = star_multiply(
-                    rings124, d124, alpha(rings124, d124, s), alpha(rings124, d124, t)
-                )
-                want = element_from_residues(
-                    rings124,
-                    d124,
-                    {(s + t) % 4: structure_coefficient(d124, s, t)},
-                )
-                assert got == want
+    def test_all_generator_products_match_structure_rule(self):
+        # (2,3) has collapsed sectors; random operands put many pairs into
+        # every target, so the sum-then-reduce path meets several terms
+        rng = random.Random(11)
+        for b in ((2, 3), (1, 2, 4), (3, 4, 5)):
+            d = build_wps(b)
+            rings = build_sector_rings(d)
+            gens = [alpha(rings, d, s) for s in range(d.ell)]
+            for s in range(d.ell):
+                for t in range(d.ell):
+                    got = star_multiply(rings, d, gens[s], gens[t])
+                    want = element_from_residues(
+                        rings, d, {(s + t) % d.ell: structure_coefficient(d, s, t)}
+                    )
+                    assert got == want
+            for _ in range(4):
+                x = random_element(rings, d, rng)
+                y = random_element(rings, d, rng)
+                want = _per_pair_product(rings, d, x, y)
+                assert star_multiply(rings, d, x, y) == want
 
     def test_frozen_reduced_products(self, d124, rings124):
         a2 = alpha(rings124, d124, 2)
@@ -214,10 +224,80 @@ class TestStarMultiply:
         with pytest.raises(ValueError):
             star_multiply(rings124, d124, unit_element(d124), unit_element(other))
 
+    def test_component_count_mismatch_rejected(self, d124, rings124):
+        one = unit_element(d124)
+        for n in (2, 5):
+            short_or_long = KOrbElement(d124.b, (LaurentPoly.one(),) * n)
+            with pytest.raises(ValueError):
+                star_multiply(rings124, d124, short_or_long, one)
+            with pytest.raises(ValueError):
+                star_multiply(rings124, d124, one, short_or_long)
+
+
+def _per_pair_product(rings, d, x, y):
+    """Reference product: reduce every term in its target, then add."""
+    comps = [LaurentPoly.zero()] * d.ell
+    for s, xs in enumerate(x.comps):
+        for t, yt in enumerate(y.comps):
+            tgt = (s + t) % d.ell
+            term = xs * yt * structure_coefficient(d, s, t)
+            comps[tgt] = comps[tgt] + reduce(rings[tgt], term)
+    return KOrbElement(d.b, tuple(comps))
+
+
+@pytest.fixture
+def coefficient_calls(monkeypatch):
+    """Pairs (s, t) that korb.ring asks a structure coefficient for."""
+    calls = []
+    real = korb.ring.structure_coefficient
+
+    def counting(d, s, t):
+        calls.append((s, t))
+        return real(d, s, t)
+
+    monkeypatch.setattr(korb.ring, "structure_coefficient", counting)
+    return calls
+
+
+class TestStarMultiplyLooksUpOnlyTouchedPairs:
+    def test_generator_product_on_8_9_11_makes_one_lookup(self, coefficient_calls):
+        d = build_wps((8, 9, 11))
+        rings = build_sector_rings(d)
+        a99, a198, a88 = (alpha(rings, d, s) for s in (99, 198, 88))
+        # 99 + 198 = 297 fixes b_0 = 8, a live sector
+        assert not star_multiply(rings, d, a99, a198).is_zero
+        assert coefficient_calls == [(99, 198)]
+        # 99 + 88 = 187 fixes no coordinate: the target is collapsed
+        coefficient_calls.clear()
+        assert star_multiply(rings, d, a99, a88).is_zero
+        assert coefficient_calls == []
+
+    def test_at_most_k_times_m_lookups(self, coefficient_calls):
+        d = build_wps((3, 4, 5))
+        rings = build_sector_rings(d)
+        rng = random.Random(7)
+        for _ in range(20):
+            x, y = (
+                element_from_residues(
+                    rings,
+                    d,
+                    {
+                        s: LaurentPoly({0: rng.randint(1, 9), 1: rng.randint(-9, 9)})
+                        for s in rng.sample(range(d.ell), rng.randint(1, 6))
+                    },
+                )
+                for _ in range(2)
+            )
+            k = sum(not c.is_zero for c in x.comps)
+            m = sum(not c.is_zero for c in y.comps)
+            coefficient_calls.clear()
+            star_multiply(rings, d, x, y)
+            assert len(coefficient_calls) <= k * m
+
 
 class TestGeneratorTable:
     def test_rows_124(self, d124, rings124):
-        rows = generator_table(rings124, d124)
+        rows = generator_table(d124)
         expected = (
             (0, 0, 0, LaurentPoly.one()),
             (0, 1, 1, LaurentPoly.one()),
@@ -234,7 +314,7 @@ class TestGeneratorTable:
 
     def test_single_sector(self):
         d = build_wps((1, 1))
-        rows = generator_table(build_sector_rings(d), d)
+        rows = generator_table(d)
         assert rows == ((0, 0, 0, LaurentPoly.one()),)
 
 
@@ -243,7 +323,7 @@ class TestPresentation:
         pres = presentation(d124)
         assert pres.weights == (1, 2, 4)
         assert pres.ell == 4
-        assert pres.relations_i == generator_table(rings124, d124)
+        assert pres.relations_i == generator_table(d124)
         assert pres.relations_j == (
             (0, E1 * E2 * E4),
             (1, E4),
