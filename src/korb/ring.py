@@ -30,16 +30,13 @@ from .sectors import (
 class SectorRing:
     """One sector's quotient ring data.
 
-    inv_u caches the residue of u^-1 modulo gmonic, which exists because
-    the constant term of gmonic is +-1.  rank 0 marks a collapsed sector
-    (generator 1, zero ring).
+    rank 0 marks a collapsed sector (generator 1, zero ring).
     """
 
     sector: int
     gen: LaurentPoly
     gmonic: MonicPoly
     rank: int
-    inv_u: LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -56,6 +53,8 @@ class KOrbElement:
     def __add__(self, other: "KOrbElement") -> "KOrbElement":
         if self.weights != other.weights:
             raise ValueError("cannot add elements over different weights")
+        if len(self.comps) != len(other.comps):
+            raise ValueError("cannot add elements with different component counts")
         return KOrbElement(
             self.weights, tuple(a + b for a, b in zip(self.comps, other.comps))
         )
@@ -113,39 +112,30 @@ class VerifyReport:
     passed: bool
 
 
-def _inverse_of_u(gm: MonicPoly) -> LaurentPoly:
-    # u * v = 1 mod g where g = g(0) + u*h(u) and g(0) = +-1, so
-    # v = -g(0) * h(u).
-    if gm.degree == 0:
-        return LaurentPoly.zero()
-    g0 = gm.constant
-    assert g0 in (1, -1), gm
-    return LaurentPoly({e - 1: -g0 * c for e, c in enumerate(gm.coeffs) if e > 0})
-
-
 def build_sector_rings(d: WpsData) -> tuple[SectorRing, ...]:
     """All ell sector rings; generators are shared between sectors with
     the same fixed coordinate set, so large ell stays cheap."""
-    cache: dict[tuple[int, ...], tuple[LaurentPoly, MonicPoly, int, LaurentPoly]] = {}
+    cache: dict[tuple[int, ...], tuple[LaurentPoly, MonicPoly]] = {}
     rings = []
     for s in range(d.ell):
         ks = fixed_set(d, s)
         hit = cache.get(ks)
         if hit is None:
             gen = kernel_generator(d, s)
-            gm = normalize(gen)
-            hit = (gen, gm, gm.degree, _inverse_of_u(gm))
+            hit = (gen, normalize(gen))
             cache[ks] = hit
-        gen, gm, rank, inv = hit
-        rings.append(SectorRing(s, gen, gm, rank, inv))
+        gen, gm = hit
+        rings.append(SectorRing(s, gen, gm, gm.degree))
     return tuple(rings)
 
 
 def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
     """Canonical residue of x modulo the sector ideal, degree < rank.
 
-    Negative exponents are cleared by a u^M shift, then divmod by the
-    monic generator, then M multiplications by the cached inverse of u.
+    Negative exponents are cleared from the bottom: the generator's
+    constant term g0 is +-1, so subtracting c*g0*u^e*g removes the term
+    c*u^e and touches only higher exponents.  One division by the monic
+    generator then clears the top.
 
     >>> from korb.sectors import build_wps
     >>> rings = build_sector_rings(build_wps((1, 2, 4)))
@@ -154,14 +144,21 @@ def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
     """
     if ring.rank == 0 or x.is_zero:
         return LaurentPoly.zero()
-    m = x.min_exp
-    shift = -m if m < 0 else 0
-    _, r = divmod_monic(x.shifted(shift), ring.gmonic)
-    for _ in range(shift):
-        if r.is_zero:
-            break
-        _, r = divmod_monic(r * ring.inv_u, ring.gmonic)
-    return r
+    lo = x.min_exp
+    if lo < 0:
+        gc = ring.gmonic.coeffs
+        if gc[0] not in (1, -1):
+            raise ValueError("generator constant term must be +-1")
+        buf = [0] * (max(x.max_exp, len(gc) - 2) - lo + 1)
+        for e, c in x.terms.items():
+            buf[e - lo] = c
+        for i in range(-lo):
+            if buf[i]:
+                c = buf[i] * gc[0]
+                for j, gj in enumerate(gc):
+                    buf[i + j] -= c * gj
+        x = LaurentPoly(dict(enumerate(buf[-lo:])))
+    return divmod_monic(x, ring.gmonic)[1]
 
 
 def zero_element(d: WpsData) -> KOrbElement:
@@ -312,8 +309,10 @@ def random_element(
 def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
     """Exhaustive obstruction-exponent battery.
 
-    Every exponent must be 0 or 1, symmetric, and zero against the
-    identity sector; the cocycle identity
+    Every exponent must be 0 or 1, equal to the carry
+    [r_k(s) + r_k(t) >= ell] with r_k(s) = b_k*s mod ell computed from the
+    weights rather than from logw, and zero against the identity sector;
+    the cocycle identity
     e(s,t) + e([s+t],w) = e(s,[t+w]) + e(t,w) is checked over all triples,
     once per divisor class of (b_k, ell).  An exponent outside {0,1} ends
     the pass over its coordinate with one failure line.  Returns the
@@ -323,14 +322,14 @@ def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
     checks = 0
     nb = len(d.b)
     for k in range(nb):
+        r = [d.b[k] * s % d.ell for s in range(d.ell)]
         try:
             for s in range(d.ell):
                 for t in range(s, d.ell):
                     checks += 1
-                    if obstruction_exponent(d, k, s, t) != obstruction_exponent(
-                        d, k, t, s
-                    ):
-                        failures.append(f"exponent e_{k} not symmetric at ({s},{t})")
+                    e = obstruction_exponent(d, k, s, t)
+                    if e != (r[s] + r[t] >= d.ell):
+                        failures.append(f"carry oracle fails: e_{k}({s},{t}) = {e}")
                 checks += 1
                 if obstruction_exponent(d, k, 0, s) != 0:
                     failures.append(f"unit law fails: e_{k}(0,{s}) != 0")

@@ -3,9 +3,16 @@ import random
 import pytest
 
 import korb.ring
-from korb.laurent import LaurentPoly, divmod_monic, euler_class, parse_laurent
+from korb.laurent import (
+    LaurentPoly,
+    MonicPoly,
+    divmod_monic,
+    euler_class,
+    parse_laurent,
+)
 from korb.ring import (
     KOrbElement,
+    SectorRing,
     alpha,
     build_sector_rings,
     check_exponents,
@@ -60,7 +67,6 @@ class TestBuildSectorRings:
         rings = build_sector_rings(build_wps((2, 3)))
         assert rings[1].gen == 1
         assert rings[1].gmonic.coeffs == (1,)
-        assert rings[1].inv_u.is_zero
 
     def test_rank_formula(self):
         rng = random.Random(14)
@@ -74,12 +80,14 @@ class TestBuildSectorRings:
                 assert r.rank == expected
 
     def test_inverse_of_u(self, rings124):
-        assert rings124[1].inv_u == parse_laurent("u^3")
+        u_inv = LaurentPoly.monomial(-1)
+        assert reduce(rings124[1], u_inv) == parse_laurent("u^3")
         for b in [(1, 2, 4), (2, 3), (6, 10, 15)]:
             d = build_wps(b)
             for r in build_sector_rings(d):
                 if r.rank > 0:
-                    assert reduce(r, LaurentPoly.monomial(1) * r.inv_u) == 1
+                    inv = reduce(r, u_inv)
+                    assert reduce(r, LaurentPoly.monomial(1) * inv) == 1
 
 
 class TestReduce:
@@ -134,11 +142,15 @@ class TestReduce:
         # x - reduce(x) lies in the ideal: after clearing denominators the
         # division by gmonic is exact
         rng = random.Random(23)
+        deep = [LaurentPoly.monomial(-3000), LaurentPoly.monomial(3000)]
         for ring in rings124:
-            for _ in range(60):
-                x = LaurentPoly(
+            randoms = [
+                LaurentPoly(
                     {rng.randint(-10, 10): rng.randint(-9, 9) for _ in range(6)}
                 )
+                for _ in range(60)
+            ]
+            for x in randoms + deep:
                 diff = x - reduce(ring, x)
                 if diff.is_zero:
                     continue
@@ -146,6 +158,12 @@ class TestReduce:
                 q, rem = divmod_monic(diff.shifted(shift), ring.gmonic)
                 assert rem.is_zero
                 assert q * ring.gmonic.as_laurent() == diff.shifted(shift)
+
+    def test_non_unit_constant_term_rejected(self):
+        gm = MonicPoly((2, 0, 1), 0, True)
+        ring = SectorRing(0, gm.as_laurent(), gm, 2)
+        with pytest.raises(ValueError, match="constant term"):
+            reduce(ring, LaurentPoly.monomial(-1))
 
 
 class TestElements:
@@ -168,6 +186,13 @@ class TestElements:
     def test_addition_requires_same_weights(self, d124):
         with pytest.raises(ValueError):
             unit_element(d124) + unit_element(build_wps((2, 3)))
+
+    def test_addition_requires_same_component_count(self, d124):
+        short = KOrbElement(d124.b, (LaurentPoly.one(), LaurentPoly.one()))
+        with pytest.raises(ValueError):
+            unit_element(d124) + short
+        with pytest.raises(ValueError):
+            short - unit_element(d124)
 
 
 class TestStarMultiply:
@@ -394,6 +419,21 @@ class TestVerify:
         assert not rep.passed
         assert rep.failures == (
             "obstruction exponent not in {0,1} at (b, k, s, t) = ((1, 2), 1, 1, 1)",
+        )
+
+    def test_corrupt_logweight_row_fails_carry_oracle(self):
+        # logw[0] holds the weight-3 row (3s mod 4), not b_0 = 1's
+        rep = verify(
+            WpsData((1, 2, 4), 4, ((0, 3, 2, 1), (0, 2, 0, 2), (0, 0, 0, 0))),
+            trials=1,
+        )
+        assert not rep.passed
+        assert rep.exponent_checks == 30 + 12 + 73
+        assert rep.failures == (
+            "carry oracle fails: e_0(1,1) = 1",
+            "carry oracle fails: e_0(1,2) = 1",
+            "carry oracle fails: e_0(2,3) = 0",
+            "carry oracle fails: e_0(3,3) = 0",
         )
 
     def test_deterministic_given_seed(self, d124):
