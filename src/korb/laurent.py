@@ -101,6 +101,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals the int c (zero included), so it must hash as c
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "LaurentPoly":

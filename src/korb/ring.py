@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .laurent import LaurentPoly, MonicPoly, divmod_monic, normalize
@@ -259,38 +258,28 @@ def torsion_report(rings: tuple[SectorRing, ...]) -> TorsionReport:
     return TorsionReport(entries, all(e.free for e in entries))
 
 
-@lru_cache(maxsize=None)
-def _cocycle_class_check(ell: int, g: int) -> tuple[int, tuple[int, int, int] | None]:
-    """Exhaustive cocycle check for the residue pattern r(s) = g*s mod ell.
+def _cocycle_check(rows: list[int]) -> tuple[int, tuple[int, int, int] | None]:
+    """Exhaustive check of e(s,t) + e([s+t],w) = e(s,[t+w]) + e(t,w) over
+    (Z_m)^3, m = len(rows), where bit t of rows[s] is e(s,t) in {0,1}.
 
-    The exponent table of a weight b_k depends only on s mod (ell/g) with
-    g = gcd(b_k, ell), up to the unit reindexing s -> (b_k/g)*s, so one
-    pass over the period covers every triple in (Z_ell)^3 for every
-    weight in that divisor class.
+    For 0/1 values a + b = c + d exactly when a^b = c^d and a&b = c&d, so
+    one test per (s, t) covers every w at once: bit w of rows[s] rotated
+    right by t is e(s,[t+w]).  Returns the number of triples checked in
+    (s, t, w) order, up to and including the first failing one, and that
+    triple.
     """
-    m = ell // g
-    r = [g * s for s in range(m)]
-
-    def e(s: int, t: int) -> int:
-        num = r[s] + r[t] - r[(s + t) % m]
-        assert num % ell == 0
-        v = num // ell
-        assert v in (0, 1)
-        return v
-
-    etab = [[e(s, t) for t in range(m)] for s in range(m)]
-    count = 0
-    for s in range(m):
-        row_s = etab[s]
-        for t in range(m):
-            c0 = row_s[t]
-            row_st = etab[(s + t) % m]
-            row_t = etab[t]
-            for w in range(m):
-                count += 1
-                if c0 + row_st[w] != row_s[(t + w) % m] + row_t[w]:
-                    return count, (s, t, w)
-    return count, None
+    m = len(rows)
+    full = (1 << m) - 1
+    for s, row_s in enumerate(rows):
+        for t, row_t in enumerate(rows):
+            a = full if row_s >> t & 1 else 0
+            b = rows[(s + t) % m]
+            c = (row_s >> t | row_s << (m - t)) & full
+            bad = (a ^ b ^ c ^ row_t) | ((a & b) ^ (c & row_t))
+            if bad:
+                w = (bad & -bad).bit_length() - 1
+                return (s * m + t) * m + w + 1, (s, t, w)
+    return m**3, None
 
 
 def random_element(
@@ -337,16 +326,23 @@ def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
             failures.append(str(exc))
     seen: set[int] = set()
     for k in range(nb):
-        cls = gcd(d.b[k], d.ell)
-        if cls in seen:
+        g = gcd(d.b[k], d.ell)
+        if g in seen:
             continue
-        seen.add(cls)
-        count, bad = _cocycle_class_check(d.ell, cls)
+        seen.add(g)
+        # The exponent table of b_k depends only on s mod m = ell/g, up to
+        # the unit reindexing s -> (b_k/g)*s, so one pass over the residue
+        # pattern r(s) = g*s covers every triple in (Z_ell)^3 for every
+        # weight in this divisor class.  Bit t of row s is the carry
+        # [r(s) + r(t) >= ell].
+        m = d.ell // g
+        rows = [
+            sum(1 << t for t in range(m) if g * (s + t) >= d.ell) for s in range(m)
+        ]
+        count, bad = _cocycle_check(rows)
         checks += count
         if bad is not None:
-            failures.append(
-                f"cocycle identity fails for weight class gcd={cls} at {bad}"
-            )
+            failures.append(f"cocycle identity fails for weight class gcd={g} at {bad}")
     return checks, tuple(failures)
 
 

@@ -122,6 +122,17 @@ class TestArithmetic:
         assert euler_class(1) ** 3 == L("1 - 3u^-1 + 3u^-2 - u^-3")
         assert L("u") ** 0 == 1
 
+    def test_constants_hash_like_equal_ints(self):
+        for c in (0, 1, -1, 7, 10**30):
+            p = LaurentPoly.const(c)
+            assert p == c
+            assert hash(p) == hash(c)
+            assert len({c, p}) == 1
+            assert {c: "x"}[p] == "x"
+        assert LaurentPoly.one() in {1: "x"}
+        assert hash(L("u")) == hash(L("u"))
+        assert L("u") != 1
+
     def test_ring_axioms_randomized(self):
         rng = random.Random(20260819)
 

@@ -454,6 +454,60 @@ class TestVerify:
             assert count > 0
             assert fails == ()
 
+    @pytest.mark.parametrize(
+        "b, checks",
+        [((3, 4, 5), 18773), ((5, 7, 8), 401351), ((1, 2, 3, 4, 5, 6, 7), 89024139)],
+    )
+    def test_check_exponents_large_counts(self, b, checks):
+        assert check_exponents(build_wps(b)) == (checks, ())
+
+
+class TestCocycleKernel:
+    """The bit-row kernel against a plain triple loop over the 0/1 table,
+    on the carry table and on corrupted ones, which the real exponents
+    never produce."""
+
+    @staticmethod
+    def triple_loop(tab):
+        m = len(tab)
+        count = 0
+        for s in range(m):
+            for t in range(m):
+                for w in range(m):
+                    count += 1
+                    lhs = tab[s][t] + tab[(s + t) % m][w]
+                    if lhs != tab[s][(t + w) % m] + tab[t][w]:
+                        return count, (s, t, w)
+        return count, None
+
+    def test_matches_triple_loop(self):
+        rng = random.Random(5)
+        failing = 0
+        for m in (1, 2, 3, 4, 7, 12):
+            carry = [[int(s + t >= m) for t in range(m)] for s in range(m)]
+            tables = [carry]
+            for _ in range(20):
+                tab = [row[:] for row in carry]
+                for _ in range(rng.randint(1, 3)):
+                    tab[rng.randrange(m)][rng.randrange(m)] ^= 1
+                tables.append(tab)
+            for _ in range(5):
+                tables.append([[rng.randint(0, 1) for _ in range(m)] for _ in range(m)])
+            # zero against sector 0, as the unit law makes real tables: every
+            # triple with a 0 then holds, and first failures where the sums
+            # differ by 2 (1 + 1 against 0 + 0) show up
+            for _ in range(10):
+                tables.append(
+                    [[rng.randint(0, 1) * (s * t > 0) for t in range(m)] for s in range(m)]
+                )
+            for tab in tables:
+                rows = [sum(bit << t for t, bit in enumerate(row)) for row in tab]
+                got = korb.ring._cocycle_check(rows)
+                assert got == self.triple_loop(tab), (m, tab)
+                failing += got[1] is not None
+            assert self.triple_loop(carry) == (m**3, None)
+        assert failing > 100
+
 
 def test_doctests():
     import doctest
