@@ -31,7 +31,7 @@ from .sectors import (
     check_sector,
     fixed_set,
     fixed_weights,
-    pair_weights,
+    sector_pairs,
 )
 
 
@@ -191,13 +191,9 @@ def cmd_chart(d: WpsData, fmt: str) -> str:
 
 
 def _display_pairs(d: WpsData):
-    """(s, t, target, obstruction weights) for the displayed s <= t, row
-    by row: the pairs the table and the I relations print."""
-    # alpha_0 is the unit, so the display starts at sector 1 unless there
-    # is nothing else to show
-    for s in range(1 if d.ell > 1 else 0, d.ell):
-        for t in range(s, d.ell):
-            yield s, t, (s + t) % d.ell, pair_weights(d, s, t)
+    """The pairs the table and the I relations print: alpha_0 is the unit,
+    so they start at sector 1 unless there is nothing else to show."""
+    return sector_pairs(d, 1 if d.ell > 1 else 0)
 
 
 def cmd_table(d: WpsData, fmt: str) -> str:

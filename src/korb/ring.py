@@ -17,10 +17,13 @@ from math import gcd
 from .laurent import LaurentPoly, MonicPoly, divmod_monic, normalize
 from .sectors import (
     WpsData,
+    carry_rows,
     check_sector,
+    euler_product,
     fixed_set,
     kernel_generator,
     obstruction_exponent,
+    sector_pairs,
     structure_coefficient,
 )
 
@@ -232,11 +235,7 @@ def generator_table(d: WpsData) -> tuple[tuple[int, int, int, LaurentPoly], ...]
     as the table and presentation outputs print them.  Coefficients are
     kept unreduced, exactly as the sector product rule writes them, and
     are shared: read-only."""
-    return tuple(
-        (s, t, (s + t) % d.ell, structure_coefficient(d, s, t))
-        for s in range(d.ell)
-        for t in range(s, d.ell)
-    )
+    return tuple((s, t, tgt, euler_product(ws)) for s, t, tgt, ws in sector_pairs(d, 0))
 
 
 def presentation(d: WpsData) -> Presentation:
@@ -303,15 +302,23 @@ def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
     weights rather than from logw, and zero against the identity sector;
     the cocycle identity
     e(s,t) + e([s+t],w) = e(s,[t+w]) + e(t,w) is checked over all triples,
-    once per divisor class of (b_k, ell).  An exponent outside {0,1} ends
-    the pass over its coordinate with one failure line.  Returns the
-    number of checks and any failure descriptions.
+    once per divisor class of (b_k, ell).  A coordinate whose carry rows
+    equal the oracle's passes its ell*(ell+3)/2 pair and unit checks at
+    once; any other is walked pair by pair to name each failure, and an
+    exponent outside {0,1} ends the walk.  Returns the number of checks
+    and any failure descriptions.
     """
     failures: list[str] = []
     checks = 0
     nb = len(d.b)
     for k in range(nb):
         r = [d.b[k] * s % d.ell for s in range(d.ell)]
+        try:
+            if carry_rows(d.logw[k], d.ell) == carry_rows(r, d.ell):
+                checks += d.ell * (d.ell + 3) // 2
+                continue
+        except ValueError:
+            pass
         try:
             for s in range(d.ell):
                 for t in range(s, d.ell):
@@ -330,16 +337,10 @@ def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
         if g in seen:
             continue
         seen.add(g)
-        # The exponent table of b_k depends only on s mod m = ell/g, up to
-        # the unit reindexing s -> (b_k/g)*s, so one pass over the residue
-        # pattern r(s) = g*s covers every triple in (Z_ell)^3 for every
-        # weight in this divisor class.  Bit t of row s is the carry
-        # [r(s) + r(t) >= ell].
-        m = d.ell // g
-        rows = [
-            sum(1 << t for t in range(m) if g * (s + t) >= d.ell) for s in range(m)
-        ]
-        count, bad = _cocycle_check(rows)
+        # The exponent table of b_k depends only on s mod m = ell/g, up to the
+        # unit reindexing s -> (b_k/g)*s, so one pass over the residues g*s,
+        # s < m, covers every triple in (Z_ell)^3 for every weight in the class.
+        count, bad = _cocycle_check(carry_rows(range(0, d.ell, g), d.ell))
         checks += count
         if bad is not None:
             failures.append(f"cocycle identity fails for weight class gcd={g} at {bad}")

@@ -67,6 +67,34 @@ def obstruction_exponent(d: WpsData, k: int, s: int, t: int) -> int:
     return e
 
 
+def carry_rows(r, ell: int) -> list[int]:
+    """Bit t of row s is the carry [r[s] + r[t] >= ell], the exponent e(s, t).
+
+    Raises ValueError unless r[s] == s*r[1] mod ell for every s (so each
+    entry is in [0, ell)): only such rows have their carries as exponents.
+    Row s is mask[ell - r[s]], mask[v] holding the bits t with r[t] >= v.
+    """
+    a = r[1] if len(r) > 1 else 0
+    if any(v != s * a % ell for s, v in enumerate(r)):
+        raise ValueError(f"residue row is not s*{a} mod {ell}")
+    masks = [0] * (ell + 1)
+    for t, v in enumerate(r):
+        masks[v] |= 1 << t
+    for v in range(ell - 1, -1, -1):
+        masks[v] |= masks[v + 1]
+    return [masks[ell - v] for v in r]
+
+
+def sector_pairs(d: WpsData, first: int):
+    """(s, t, target, obstructed weights) for first <= s <= t < ell, by rows."""
+    rows = [carry_rows(r, d.ell) for r in d.logw]
+    for s in range(first, d.ell):
+        row_s = [row[s] for row in rows]
+        for t in range(s, d.ell):
+            ws = tuple(w for w, x in zip(d.b, row_s) if x >> t & 1)
+            yield s, t, (s + t) % d.ell, ws
+
+
 def obstruction_set(d: WpsData, s: int, t: int) -> tuple[int, ...]:
     """Coordinates k with obstruction exponent 1 for the pair (s, t)."""
     return tuple(
@@ -88,11 +116,6 @@ def euler_product(weights: tuple[int, ...]) -> LaurentPoly:
     return out
 
 
-def pair_weights(d: WpsData, s: int, t: int) -> tuple[int, ...]:
-    """Weights of the coordinates obstructed for the pair (s, t)."""
-    return tuple(d.b[k] for k in obstruction_set(d, s, t))
-
-
 def fixed_weights(d: WpsData, s: int) -> tuple[int, ...]:
     """Weights of the coordinates fixed by sector s."""
     return tuple(d.b[k] for k in fixed_set(d, s))
@@ -104,7 +127,7 @@ def structure_coefficient(d: WpsData, s: int, t: int) -> LaurentPoly:
     A product of Euler classes 1 - u^-b_k, one factor for each k whose
     obstruction exponent is 1.  Symmetric in s and t.  Shared: read-only.
     """
-    return euler_product(pair_weights(d, s, t))
+    return euler_product(tuple(d.b[k] for k in obstruction_set(d, s, t)))
 
 
 def kernel_generator(d: WpsData, s: int) -> LaurentPoly:

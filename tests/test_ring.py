@@ -342,6 +342,22 @@ class TestGeneratorTable:
         rows = generator_table(d)
         assert rows == ((0, 0, 0, LaurentPoly.one()),)
 
+    @pytest.mark.parametrize(
+        "b", [(1,), (2, 3), (2, 2, 3), (4, 6), (3, 4, 5), (6, 10, 15)]
+    )
+    def test_rows_match_per_pair_coefficients(self, b):
+        # table/present read carry rows, star_multiply per-pair exponents
+        d = build_wps(b)
+        assert generator_table(d) == tuple(
+            (s, t, (s + t) % d.ell, structure_coefficient(d, s, t))
+            for s in range(d.ell)
+            for t in range(s, d.ell)
+        )
+
+    def test_corrupt_logweights_raise(self):
+        with pytest.raises(ValueError):
+            generator_table(WpsData((1, 2), 2, ((0, 1), (0, 3))))
+
 
 class TestPresentation:
     def test_124_matches_published_relations(self, d124, rings124):
@@ -421,6 +437,19 @@ class TestVerify:
             "obstruction exponent not in {0,1} at (b, k, s, t) = ((1, 2), 1, 1, 1)",
         )
 
+    def test_non_homomorphic_logweight_row_ends_its_coordinate(self):
+        # logw[0] is in range but not s*1 mod 4: e_0(1,1) = (1 + 1 - 3)/4,
+        # so the walk over k = 0 stops at its 6th check; 6 + 2*14 + 73
+        rep = verify(
+            WpsData((1, 2, 4), 4, ((0, 1, 3, 2), (0, 2, 0, 2), (0, 0, 0, 0))),
+            trials=1,
+        )
+        assert not rep.passed
+        assert rep.exponent_checks == 107
+        assert rep.failures == (
+            "obstruction exponent not in {0,1} at (b, k, s, t) = ((1, 2, 4), 0, 1, 1)",
+        )
+
     def test_corrupt_logweight_row_fails_carry_oracle(self):
         # logw[0] holds the weight-3 row (3s mod 4), not b_0 = 1's
         rep = verify(
@@ -456,7 +485,12 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "b, checks",
-        [((3, 4, 5), 18773), ((5, 7, 8), 401351), ((1, 2, 3, 4, 5, 6, 7), 89024139)],
+        [
+            ((3, 4, 5), 18773),
+            ((5, 7, 8), 401351),
+            ((1, 2, 3, 4, 5, 6, 7), 89024139),
+            ((8, 9, 11), 2969479),
+        ],
     )
     def test_check_exponents_large_counts(self, b, checks):
         assert check_exponents(build_wps(b)) == (checks, ())

@@ -5,13 +5,13 @@ import pytest
 from korb.laurent import LaurentPoly, euler_class, parse_laurent
 from korb.sectors import (
     build_wps,
+    carry_rows,
     euler_product,
     fixed_set,
     fixed_weights,
     kernel_generator,
     obstruction_exponent,
     obstruction_set,
-    pair_weights,
     structure_coefficient,
 )
 
@@ -112,6 +112,29 @@ class TestObstructionExponent:
                         assert lhs == rhs
 
 
+class TestCarryRows:
+    @staticmethod
+    def brute_force(r, ell):
+        return [sum(1 << t for t, rt in enumerate(r) if rs + rt >= ell) for rs in r]
+
+    def test_matches_brute_force(self):
+        for ell in range(1, 13):
+            rows = [[a * s % ell for s in range(ell)] for a in range(ell)]
+            # the residues g*s, s < ell/g, of each divisor class: shorter rows
+            rows += [list(range(0, ell, g)) for g in range(1, ell + 1) if ell % g == 0]
+            for r in rows:
+                assert carry_rows(r, ell) == self.brute_force(r, ell), (ell, r)
+
+    @pytest.mark.parametrize(
+        "r, ell",
+        [((0, 3), 2), ((0, 1, 2, 7), 4), ((0, -1, 2, 3), 4), ((1,), 1),
+         ((0, 1, 3, 2), 4), ((0, 2, 0, 0), 4)],
+    )
+    def test_rejects_rows_that_are_not_residues(self, r, ell):
+        with pytest.raises(ValueError):
+            carry_rows(r, ell)
+
+
 class TestStructureCoefficient:
     def test_table_cells_124(self):
         d = build_wps((1, 2, 4))
@@ -164,7 +187,6 @@ class TestEulerProduct:
 
     def test_coefficients_and_kernels_share_one_value(self):
         d = build_wps((1, 2, 4))
-        assert pair_weights(d, 3, 3) == (1, 2)
         assert fixed_weights(d, 2) == (2, 4)
         assert structure_coefficient(d, 3, 3) is euler_product((1, 2))
         assert structure_coefficient(d, 1, 3) is structure_coefficient(d, 3, 3)
