@@ -3,13 +3,17 @@
 Every run is fully specified by its flags: a subcommand, a comma-separated
 weight vector, and an output format (text, json, or latex).  Results go to
 stdout, errors to stderr.  Exit status is 0 on success, 1 when `verify`
-finds a failure, and 2 on bad input.
+finds a failure, and 2 on bad input, even if the reader closes stdout early.
+A new command is one more entry in `_COMMANDS`: its help, flags and handler.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
+import re
 import sys
 from fractions import Fraction
 
@@ -108,21 +112,7 @@ def _cell(ws: tuple[int, ...], s: int, latex: bool) -> str:
 
 
 def _poly_latex(p: LaurentPoly) -> str:
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for e, c in p:
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            upart = "u" if e == 1 else f"u^{{{e}}}"
-            body = upart if mag == 1 else f"{mag}{upart}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+" if c > 0 else "-") + body)
-    return "".join(parts)
+    return re.sub(r"\^(-?\d+)", r"^{\1}", str(p).replace(" ", ""))
 
 
 def _header_lines(d: WpsData) -> list[str]:
@@ -141,7 +131,8 @@ def _json_rows(rows) -> list[dict]:
     ]
 
 
-def cmd_chart(d: WpsData, fmt: str) -> str:
+def cmd_chart(d: WpsData, args: argparse.Namespace) -> str:
+    fmt = args.format
     n = len(d.b)
     if fmt == "json":
         sectors = [
@@ -196,7 +187,8 @@ def _display_pairs(d: WpsData):
     return sector_pairs(d, 1 if d.ell > 1 else 0)
 
 
-def cmd_table(d: WpsData, fmt: str) -> str:
+def cmd_table(d: WpsData, args: argparse.Namespace) -> str:
+    fmt = args.format
     if fmt == "json":
         rows = generator_table(d)
         return _json_doc("table", d, tableI=_json_rows(rows))
@@ -219,7 +211,8 @@ def cmd_table(d: WpsData, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_kernels(d: WpsData, fmt: str) -> str:
+def cmd_kernels(d: WpsData, args: argparse.Namespace) -> str:
+    fmt = args.format
     rings = build_sector_rings(d)
     if fmt == "json":
         sectors = [
@@ -250,7 +243,8 @@ def cmd_kernels(d: WpsData, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_present(d: WpsData, fmt: str) -> str:
+def cmd_present(d: WpsData, args: argparse.Namespace) -> str:
+    fmt = args.format
     if fmt == "json":
         pres = presentation(d)
         rows_i = _json_rows(pres.relations_i)
@@ -285,7 +279,8 @@ def cmd_present(d: WpsData, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_rank(d: WpsData, fmt: str) -> str:
+def cmd_rank(d: WpsData, args: argparse.Namespace) -> str:
+    fmt = args.format
     rings = build_sector_rings(d)
     total = total_rank(rings)
     if fmt == "json":
@@ -295,7 +290,8 @@ def cmd_rank(d: WpsData, fmt: str) -> str:
     return str(total)
 
 
-def cmd_torsion(d: WpsData, fmt: str) -> str:
+def cmd_torsion(d: WpsData, args: argparse.Namespace) -> str:
+    fmt = args.format
     rings = build_sector_rings(d)
     rep = torsion_report(rings)
     status = "PASS" if rep.passed else "FAIL"
@@ -326,8 +322,11 @@ def cmd_torsion(d: WpsData, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(d: WpsData, trials: int, seed: int, fmt: str) -> tuple[str, int]:
-    rep = verify(d, trials=trials, seed=seed)
+def cmd_verify(d: WpsData, args: argparse.Namespace) -> tuple[str, int]:
+    fmt = args.format
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    rep = verify(d, trials=args.trials, seed=args.seed)
     if rep.passed:
         summary = f"PASS (cocycle exhaustive; {rep.trials} random associativity trials)"
     else:
@@ -351,9 +350,10 @@ def cmd_verify(d: WpsData, trials: int, seed: int, fmt: str) -> tuple[str, int]:
     return body, 0 if rep.passed else 1
 
 
-def cmd_reduce(d: WpsData, sector: int, poly_text: str, fmt: str) -> str:
+def cmd_reduce(d: WpsData, args: argparse.Namespace) -> str:
+    fmt, sector = args.format, args.sector
     check_sector(d, sector)
-    p = parse_laurent(poly_text)
+    p = parse_laurent(args.poly)
     rings = build_sector_rings(d)
     r = reduce(rings[sector], p)
     if fmt == "json":
@@ -387,7 +387,8 @@ def _parse_element_spec(text: str, rings, d: WpsData):
     return element_from_residues(rings, d, residues)
 
 
-def cmd_mul(d: WpsData, lhs: str, rhs: str, fmt: str) -> str:
+def cmd_mul(d: WpsData, args: argparse.Namespace) -> str:
+    fmt, lhs, rhs = args.format, args.lhs, args.rhs
     rings = build_sector_rings(d)
     x = _parse_element_spec(lhs, rings, d)
     y = _parse_element_spec(rhs, rings, d)
@@ -411,7 +412,33 @@ def cmd_mul(d: WpsData, lhs: str, rhs: str, fmt: str) -> str:
     return "; ".join(f"{s}:{c}" for s, c in nonzero)
 
 
+# name -> (help, extra flags, handler).  Every command also takes the weights
+# and --format; its handler returns the text to print, or (text, exit status).
+_COMMANDS = {
+    "chart": ("sector chart: roots of unity, fixed loci, logweights", {}, cmd_chart),
+    "table": ("multiplication table of the sector generators", {}, cmd_table),
+    "kernels": ("kernel generator and rank of every sector", {}, cmd_kernels),
+    "present": ("generators-and-relations presentation of the ring", {}, cmd_present),
+    "rank": ("total free rank over Z", {}, cmd_rank),
+    "torsion": ("per-sector torsion-freeness certificate", {}, cmd_torsion),
+    "verify": ("exhaustive exponent checks plus randomized ring laws", {
+        "--trials": dict(type=int, default=500),
+        "--seed": dict(type=int, default=0),
+    }, cmd_verify),
+    "reduce": ("canonical residue of a polynomial in one sector", {
+        "--sector": dict(type=int, required=True),
+        "--poly": dict(required=True),
+    }, cmd_reduce),
+    "mul": ("star-product of two ring elements", {
+        "--lhs": dict(required=True),
+        "--rhs": dict(required=True),
+    }, cmd_mul),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and then shared: parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="korb",
         description=(
@@ -421,18 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "chart": "sector chart: roots of unity, fixed loci, logweights",
-        "table": "multiplication table of the sector generators",
-        "kernels": "kernel generator and rank of every sector",
-        "present": "generators-and-relations presentation of the ring",
-        "rank": "total free rank over Z",
-        "torsion": "per-sector torsion-freeness certificate",
-        "verify": "exhaustive exponent checks plus randomized ring laws",
-        "reduce": "canonical residue of a polynomial in one sector",
-        "mul": "star-product of two ring elements",
-    }
-    for name, help_text in helps.items():
+    for name, (help_text, flags, handler) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument(
             "weights", help="comma-separated positive integers, e.g. 1,2,4"
@@ -440,15 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--format", choices=("text", "json", "latex"), default="text"
         )
-        if name == "verify":
-            sp.add_argument("--trials", type=int, default=500)
-            sp.add_argument("--seed", type=int, default=0)
-        if name == "reduce":
-            sp.add_argument("--sector", type=int, required=True)
-            sp.add_argument("--poly", required=True)
-        if name == "mul":
-            sp.add_argument("--lhs", required=True)
-            sp.add_argument("--rhs", required=True)
+        for flag, kwargs in flags.items():
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(handler=handler)
     return parser
 
 
@@ -456,31 +466,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         d = build_wps(_parse_weights(args.weights))
-        code = 0
-        if args.command == "chart":
-            body = cmd_chart(d, args.format)
-        elif args.command == "table":
-            body = cmd_table(d, args.format)
-        elif args.command == "kernels":
-            body = cmd_kernels(d, args.format)
-        elif args.command == "present":
-            body = cmd_present(d, args.format)
-        elif args.command == "rank":
-            body = cmd_rank(d, args.format)
-        elif args.command == "torsion":
-            body = cmd_torsion(d, args.format)
-        elif args.command == "verify":
-            if args.trials < 1:
-                raise ValueError("--trials must be >= 1")
-            body, code = cmd_verify(d, args.trials, args.seed, args.format)
-        elif args.command == "reduce":
-            body = cmd_reduce(d, args.sector, args.poly, args.format)
-        else:
-            body = cmd_mul(d, args.lhs, args.rhs, args.format)
+        result = args.handler(d, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(body)
+    body, code = result if isinstance(result, tuple) else (result, 0)
+    try:
+        # flush now, so a closed pipe raises here; the unwritten rest then
+        # goes to /dev/null, so the interpreter's exit flush cannot raise
+        print(body, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -1,5 +1,7 @@
+import argparse
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,9 +9,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from korb.cli import main
-from korb.laurent import parse_laurent
+from korb.cli import _poly_latex, main
+from korb.laurent import LaurentPoly, parse_laurent
 from korb.ring import build_sector_rings, star_multiply, element_from_residues
 from korb.sectors import build_wps, kernel_generator, structure_coefficient
 
@@ -302,6 +306,45 @@ class TestLatexFormat:
 GOLDENS = Path(__file__).parent / "goldens"
 
 
+def _poly_latex_by_terms(p: LaurentPoly) -> str:
+    """Reference LaTeX printer, built term by term without LaurentPoly.__str__."""
+    if p.is_zero:
+        return "0"
+    parts: list[str] = []
+    for e, c in p:
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            upart = "u" if e == 1 else f"u^{{{e}}}"
+            body = upart if mag == 1 else f"{mag}{upart}"
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+" if c > 0 else "-") + body)
+    return "".join(parts)
+
+
+class TestPolyLatex:
+    @given(
+        st.dictionaries(
+            st.integers(min_value=-40, max_value=40),
+            st.one_of(
+                st.sampled_from([1, -1]),
+                st.integers(min_value=-9, max_value=9),
+                st.integers(min_value=-(10**40), max_value=10**40),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_term_by_term_printer(self, terms):
+        p = LaurentPoly(terms)
+        assert _poly_latex(p) == _poly_latex_by_terms(p)
+
+    def test_zero(self):
+        assert _poly_latex(LaurentPoly()) == "0"
+
+
 class TestByteGoldens:
     """Full stdout pinned byte for byte, one file per command, weights and
     format: goldens/<command>_<weights with '-'>.<format>.txt."""
@@ -375,6 +418,94 @@ class TestErrorPaths:
         assert err == "error: --trials must be >= 1\n"
 
 
+def usage_error(*args):
+    """The exit status and stderr of a main call that argparse rejects."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+    return exc.value.code, err.getvalue()
+
+
+# The extra flags each subcommand takes besides the weights and --format.
+EXTRA_FLAGS = {
+    "chart": set(),
+    "table": set(),
+    "kernels": set(),
+    "present": set(),
+    "rank": set(),
+    "torsion": set(),
+    "verify": {"--trials", "--seed"},
+    "reduce": {"--sector", "--poly"},
+    "mul": {"--lhs", "--rhs"},
+}
+
+
+class TestParser:
+    """The parser may be shared between main calls: these pin its shape and
+    that one call leaves nothing behind for the next."""
+
+    def test_top_level_usage_lists_commands_in_order(self):
+        code, err = usage_error()
+        assert code == 2
+        assert "{chart,table,kernels,present,rank,torsion,verify,reduce,mul}" in err
+
+    @pytest.mark.parametrize("command", sorted(EXTRA_FLAGS))
+    def test_each_command_takes_exactly_its_flags(self, command):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--[a-z]+", out.getvalue()))
+        assert flags == {"--help", "--format"} | EXTRA_FLAGS[command]
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("chart", "1,2,4", "--sector", "1"), "--sector"),
+            (("rank", "1,2,4", "--trials", "3"), "--trials"),
+            (("table", "1,2,4", "--lhs", "0:1"), "--lhs"),
+            (("verify", "1,2,4", "--poly", "1"), "--poly"),
+            (("reduce", "1,2,4", "--sector", "1"), "--poly"),
+            (("mul", "1,2,4", "--lhs", "0:1"), "--rhs"),
+            (("chart", "1,2,4", "--format", "html"), "--format"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else "names " + v,
+    )
+    def test_foreign_or_missing_flag_is_usage_error(self, argv, named):
+        code, err = usage_error(*argv)
+        assert code == 2
+        assert err.startswith("usage: korb ")
+        assert named in err.splitlines()[-1]
+
+    def test_defaults_do_not_carry_over(self):
+        _, out, _ = run(
+            "verify", "1,2,4", "--trials", "1", "--seed", "7", "--format", "json"
+        )
+        assert json.loads(out)["seed"] == 7
+        _, out, _ = run("verify", "1,2,4", "--trials", "1", "--format", "json")
+        assert json.loads(out)["seed"] == 0
+
+    def test_usage_error_leaves_next_call_intact(self):
+        assert usage_error("reduce", "1,2,4", "--sector", "1")[0] == 2
+        assert run("rank", "1,2,4") == (0, "21\n", "")
+        assert run("reduce", "1,2,4", "--sector", "1", "--poly", "1")[0] == 0
+
+    def test_parser_is_built_once_per_process(self, monkeypatch):
+        run("rank", "1,2,4")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for command in ("rank", "chart", "kernels"):
+            assert run(command, "1,2,4")[0] == 0
+        assert built == []
+
+
 class TestSubprocess:
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -393,3 +524,27 @@ class TestSubprocess:
         )
         assert proc.returncode == 2
         assert "--sector" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, lines_read",
+        [
+            # about 1.7 MB, far more than a pipe buffer holds
+            (("table", "5,7,8"), 1),
+            # a few bytes, which a buffered stdout keeps until its last flush
+            (("rank", "1,2,4"), 0),
+        ],
+        ids=["table-5,7,8", "rank-1,2,4"],
+    )
+    def test_closed_pipe_keeps_exit_status(self, argv, lines_read):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "korb.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
