@@ -21,8 +21,6 @@ from .laurent import LaurentPoly, parse_laurent
 from .ring import (
     build_sector_rings,
     element_from_residues,
-    generator_table,
-    presentation,
     reduce,
     star_multiply,
     torsion_report,
@@ -33,8 +31,10 @@ from .sectors import (
     WpsData,
     build_wps,
     check_sector,
+    euler_product,
     fixed_set,
     fixed_weights,
+    kernel_generator,
     sector_pairs,
 )
 
@@ -104,11 +104,12 @@ def _alpha(s: int, latex: bool) -> str:
     return _sub("\\alpha", s) if latex else f"alpha_{s}"
 
 
-def _cell(ws: tuple[int, ...], s: int, latex: bool) -> str:
-    """ws-factors times alpha_s, with no factor when ws is empty."""
-    if not ws:
-        return _alpha(s, latex)
-    return _factors(ws, latex) + ("" if latex else " ") + _alpha(s, latex)
+def _prefixes(latex: bool):
+    """prefix(ws): what precedes alpha_s in the cell ws-factors times alpha_s,
+    nothing when ws is empty.  Made per command call, it renders each
+    weight class once, however many pairs share it."""
+    sep = "" if latex else " "
+    return functools.cache(lambda ws: _factors(ws, latex) + sep if ws else "")
 
 
 def _poly_latex(p: LaurentPoly) -> str:
@@ -119,16 +120,28 @@ def _header_lines(d: WpsData) -> list[str]:
     return [f"weights: {_weights_str(d)}", f"ell: {d.ell}"]
 
 
-def _json_doc(kind: str, d: WpsData, **extra) -> str:
-    doc = {"kind": kind, "weights": list(d.b), "ell": d.ell}
-    doc.update(extra)
-    return json.dumps(doc, indent=2)
+def _json_field(key: str, v) -> str:
+    return f"  {json.dumps(key)}: " + json.dumps(v, indent=2).replace("\n", "\n  ")
 
 
-def _json_rows(rows) -> list[dict]:
-    return [
-        {"s": s, "t": t, "target": tgt, "coeff": str(c)} for s, t, tgt, c in rows
-    ]
+def _json_doc(kind: str, d: WpsData, pairs=None, **extra) -> str:
+    """json.dumps(doc, indent=2) of {kind, weights, ell, tableI, **extra}.
+
+    tableI, written only when sector pairs are given, lists one row per pair
+    through one fixed template; each class's coefficient is dumped once.
+    """
+    head = {"kind": kind, "weights": list(d.b), "ell": d.ell}
+    fields = [_json_field(k, v) for k, v in head.items()]
+    if pairs is not None:
+        coeff = functools.cache(lambda ws: json.dumps(str(euler_product(ws))))
+        rows = ",\n".join(
+            f'    {{\n      "s": {s},\n      "t": {t},\n      "target": {tgt},\n'
+            f'      "coeff": {coeff(ws)}\n    }}'
+            for s, t, tgt, ws in pairs
+        )
+        fields.append(f'  "tableI": [\n{rows}\n  ]')
+    fields += [_json_field(k, v) for k, v in extra.items()]
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def cmd_chart(d: WpsData, args: argparse.Namespace) -> str:
@@ -190,15 +203,16 @@ def _display_pairs(d: WpsData):
 def cmd_table(d: WpsData, args: argparse.Namespace) -> str:
     fmt = args.format
     if fmt == "json":
-        rows = generator_table(d)
-        return _json_doc("table", d, tableI=_json_rows(rows))
+        return _json_doc("table", d, pairs=sector_pairs(d, 0))
+    prefix = _prefixes(fmt == "latex")
     if fmt == "latex":
+        alphas = [_alpha(s, True) for s in range(d.ell)]
         rows = []
         for s, t, tgt, ws in _display_pairs(d):
             if t == s:
                 # the cells left of the diagonal stay empty
-                rows.append([_alpha(s, True)] + [""] * len(rows))
-            rows[-1].append(_cell(ws, tgt, True))
+                rows.append([alphas[s]] + [""] * len(rows))
+            rows[-1].append(prefix(ws) + alphas[tgt])
         header = " & " + " & ".join(row[0] for row in rows)
         lines = [header + " \\\\ \\hline \\hline"]
         lines += [" & ".join(row) + " \\\\ \\hline" for row in rows]
@@ -206,8 +220,10 @@ def cmd_table(d: WpsData, args: argparse.Namespace) -> str:
         body = "\n".join(lines)
         return f"\\begin{{array}}{{{cols}}}\n{body}\n\\end{{array}}"
     lines = _header_lines(d)
-    for s, t, tgt, ws in _display_pairs(d):
-        lines.append(f"alpha_{s} * alpha_{t} = {_cell(ws, tgt, False)}")
+    lines += (
+        f"alpha_{s} * alpha_{t} = {prefix(ws)}alpha_{tgt}"
+        for s, t, tgt, ws in _display_pairs(d)
+    )
     return "\n".join(lines)
 
 
@@ -246,22 +262,22 @@ def cmd_kernels(d: WpsData, args: argparse.Namespace) -> str:
 def cmd_present(d: WpsData, args: argparse.Namespace) -> str:
     fmt = args.format
     if fmt == "json":
-        pres = presentation(d)
-        rows_i = _json_rows(pres.relations_i)
-        rows_j = [{"s": s, "gen": str(g)} for s, g in pres.relations_j]
+        rows_j = [{"s": s, "gen": str(kernel_generator(d, s))} for s in range(d.ell)]
         return _json_doc(
-            "presentation", d, tableI=rows_i, tableJ=rows_j, unit=pres.unit_relation
+            "presentation", d, pairs=sector_pairs(d, 0), tableJ=rows_j,
+            unit="alpha_0 - 1",
         )
+    prefix = _prefixes(fmt == "latex")
     if fmt == "latex":
+        alphas = [_alpha(s, True) for s in range(d.ell)]
         lines = ["\\begin{align*}"]
-        for s, t, tgt, ws in _display_pairs(d):
-            lines.append(
-                _alpha(s, True) + " " + _alpha(t, True) + " &= "
-                + _cell(ws, tgt, True) + " \\\\"
-            )
+        lines += (
+            f"{alphas[s]} {alphas[t]} &= {prefix(ws)}{alphas[tgt]} \\\\"
+            for s, t, tgt, ws in _display_pairs(d)
+        )
         for s in range(d.ell):
             prod = _factors(fixed_weights(d, s), True)
-            lines.append(prod + "\\," + _alpha(s, True) + " &= 0 \\\\")
+            lines.append(prod + "\\," + alphas[s] + " &= 0 \\\\")
         lines.append("\\alpha_0 &= 1")
         lines.append("\\end{align*}")
         return "\n".join(lines)
@@ -270,11 +286,12 @@ def cmd_present(d: WpsData, args: argparse.Namespace) -> str:
         "generators: " + ", ".join(f"alpha_{s}" for s in range(d.ell))
     )
     lines.append("I relations:")
-    for s, t, tgt, ws in _display_pairs(d):
-        lines.append(f"  alpha_{s} alpha_{t} - {_cell(ws, tgt, False)}")
+    lines += (
+        f"  alpha_{s} alpha_{t} - {prefix(ws)}alpha_{tgt}"
+        for s, t, tgt, ws in _display_pairs(d)
+    )
     lines.append("J relations:")
-    for s in range(d.ell):
-        lines.append(f"  {_cell(fixed_weights(d, s), s, False)}")
+    lines += (f"  {prefix(fixed_weights(d, s))}alpha_{s}" for s in range(d.ell))
     lines.append("unit relation: alpha_0 - 1")
     return "\n".join(lines)
 

@@ -86,13 +86,23 @@ def carry_rows(r, ell: int) -> list[int]:
 
 
 def sector_pairs(d: WpsData, first: int):
-    """(s, t, target, obstructed weights) for first <= s <= t < ell, by rows."""
-    rows = [carry_rows(r, d.ell) for r in d.logw]
-    for s in range(first, d.ell):
-        row_s = [row[s] for row in rows]
-        for t in range(s, d.ell):
-            ws = tuple(w for w, x in zip(d.b, row_s) if x >> t & 1)
-            yield s, t, (s + t) % d.ell, ws
+    """(s, t, target, obstructed weights) for first <= s <= t < ell, by rows.
+
+    Pairs with the same obstructed coordinates share one weight tuple
+    within a call, so callers can render each of the at most 2^(n+1)
+    classes once, keyed by that tuple.
+    """
+    ell = d.ell
+    rows = [carry_rows(r, ell) for r in d.logw]
+    classes: dict[tuple[str, ...], tuple[int, ...]] = {}
+    for s in range(first, ell):
+        # char i of each string is the coordinate's bit t = s + i
+        bits = [format(row[s] >> s, f"0{ell - s}b")[::-1] for row in rows]
+        for t, key in enumerate(zip(*bits), s):
+            ws = classes.get(key)
+            if ws is None:
+                ws = classes[key] = tuple(w for w, c in zip(d.b, key) if c == "1")
+            yield s, t, (s + t) % ell, ws
 
 
 def obstruction_set(d: WpsData, s: int, t: int) -> tuple[int, ...]:

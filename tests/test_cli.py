@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from korb.cli import _poly_latex, main
+import korb.cli
+from korb.cli import _COMMANDS, _poly_latex, main
 from korb.laurent import LaurentPoly, parse_laurent
 from korb.ring import build_sector_rings, star_multiply, element_from_residues
 from korb.sectors import build_wps, kernel_generator, structure_coefficient
@@ -383,6 +385,110 @@ class TestCrossFormatConsistency:
             assert prod == coeffs[(s, t)]
             seen += 1
         assert seen == 6
+
+
+# Flags for the commands that need more than weights and --format.
+COMMAND_FLAGS = {
+    "verify": ["--trials", "3"],
+    "reduce": ["--sector", "0", "--poly", "3u^-7 + u^2 - 2"],
+    "mul": ["--lhs", "0:1+u", "--rhs", "0:u^-1 - 4"],
+}
+
+
+class TestJsonWriter:
+    """The JSON documents are written field by field, tables row by row:
+    they must read back and re-dump to the same bytes."""
+
+    @pytest.mark.parametrize("weights", ["1", "1,2,4", "2,2,3", "3,4,5"])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_redumps_byte_identically(self, command, weights):
+        code, out, err = run(
+            command, weights, "--format", "json", *COMMAND_FLAGS.get(command, [])
+        )
+        assert (code, err) == (0, "")
+        assert json.dumps(json.loads(out), indent=2) == out[:-1]
+
+
+def reference_render(b, command, latex):
+    """table/present from the weights alone: weight w is obstructed in the
+    pair (s, t) when it carries, (w*s mod ell) + (w*t mod ell) >= ell."""
+    ell = math.lcm(*b)
+    first = 1 if ell > 1 else 0
+    if latex:
+        alpha = lambda s: f"\\alpha_{s}" if s < 10 else f"\\alpha_{{{s}}}"
+        factor, sep = "(1-u^{{-{}}})", ""
+    else:
+        alpha, factor, sep = "alpha_{}".format, "(1-u^-{})", " "
+
+    def cell(ws, s):
+        return "".join(map(factor.format, ws)) + (sep if ws else "") + alpha(s)
+
+    cells = {
+        (s, t): cell([w for w in b if w * s % ell + w * t % ell >= ell], (s + t) % ell)
+        for s in range(first, ell)
+        for t in range(s, ell)
+    }
+    fixed = [[w for w in b if w * s % ell == 0] for s in range(ell)]
+    head = [f"weights: {','.join(map(str, b))}", f"ell: {ell}"]
+    if command == "table" and latex:
+        sectors = range(first, ell)
+        rows = [[alpha(s)] + [cells.get((s, t), "") for t in sectors] for s in sectors]
+        lines = ["\\begin{array}{c||" + "|".join("c" * len(rows)) + "|}"]
+        lines.append(" & " + " & ".join(r[0] for r in rows) + " \\\\ \\hline \\hline")
+        lines += [" & ".join(r) + " \\\\ \\hline" for r in rows] + ["\\end{array}"]
+    elif command == "table":
+        lines = head + [f"alpha_{s} * alpha_{t} = {c}" for (s, t), c in cells.items()]
+    elif latex:
+        lines = ["\\begin{align*}"]
+        lines += [f"{alpha(s)} {alpha(t)} &= {c} \\\\" for (s, t), c in cells.items()]
+        for s in range(ell):
+            prod = "".join(map(factor.format, fixed[s])) or "1"
+            lines.append(f"{prod}\\,{alpha(s)} &= 0 \\\\")
+        lines += ["\\alpha_0 &= 1", "\\end{align*}"]
+    else:
+        lines = head + ["generators: " + ", ".join(map(alpha, range(ell)))]
+        lines += ["I relations:"]
+        lines += [f"  alpha_{s} alpha_{t} - {c}" for (s, t), c in cells.items()]
+        lines += ["J relations:"] + [f"  {cell(fixed[s], s)}" for s in range(ell)]
+        lines += ["unit relation: alpha_0 - 1"]
+    return "\n".join(lines) + "\n"
+
+
+class TestPairTablesAgainstReference:
+    @pytest.mark.parametrize("fmt", ["text", "latex"])
+    @pytest.mark.parametrize("command", ["table", "present"])
+    @pytest.mark.parametrize("b", [(2, 2, 3), (4, 6)])
+    def test_matches_reference_renderer(self, b, command, fmt):
+        code, out, err = run(command, ",".join(map(str, b)), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == reference_render(b, command, fmt == "latex")
+
+    def test_reference_reproduces_the_124_goldens(self):
+        assert reference_render((1, 2, 4), "table", False) == TABLE_124
+        assert reference_render((1, 2, 4), "table", True) == LATEX_TABLE_124
+        assert reference_render((1, 2, 4), "present", False) == PRESENT_124
+
+
+class TestFactorsRenderedOncePerClass:
+    """A weight vector with 7 coordinates has at most 2^7 obstruction
+    classes, against 87,990 displayed pairs on 1..7."""
+
+    @pytest.mark.parametrize(
+        "command, fmt", [("table", "text"), ("table", "latex"), ("present", "text")]
+    )
+    def test_at_most_one_render_per_class(self, monkeypatch, command, fmt):
+        calls = []
+        render = korb.cli._factors
+
+        def counting(ws, latex):
+            calls.append(ws)
+            return render(ws, latex)
+
+        monkeypatch.setattr(korb.cli, "_factors", counting)
+        code, out, err = run(command, "1,2,3,4,5,6,7", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out.count("(1-u^") > 2**7
+        assert len(calls) == len(set(calls)) <= 2**7
 
 
 class TestErrorPaths:

@@ -12,8 +12,11 @@ from korb.sectors import (
     kernel_generator,
     obstruction_exponent,
     obstruction_set,
+    sector_pairs,
     structure_coefficient,
 )
+
+PAIR_VECTORS = [(1,), (2, 2, 3), (4, 6), (2, 4, 6), (3, 4, 5), (5, 7, 8)]
 
 
 class TestBuildWps:
@@ -133,6 +136,27 @@ class TestCarryRows:
     def test_rejects_rows_that_are_not_residues(self, r, ell):
         with pytest.raises(ValueError):
             carry_rows(r, ell)
+
+
+class TestSectorPairs:
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("b", PAIR_VECTORS)
+    def test_matches_per_pair_obstruction_sets(self, b, first):
+        d = build_wps(b)
+        expected = [
+            (s, t, (s + t) % d.ell, tuple(d.b[k] for k in obstruction_set(d, s, t)))
+            for s in range(first, d.ell)
+            for t in range(s, d.ell)
+        ]
+        assert list(sector_pairs(d, first)) == expected
+
+    @pytest.mark.parametrize("b", PAIR_VECTORS)
+    def test_one_class_shares_one_weight_tuple(self, b):
+        d = build_wps(b)
+        shared = {}
+        for s, t, tgt, ws in sector_pairs(d, 0):
+            assert shared.setdefault(ws, ws) is ws, (s, t)
+        assert len(shared) <= 2 ** len(b)
 
 
 class TestStructureCoefficient:
