@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -630,6 +631,39 @@ class TestSubprocess:
         )
         assert proc.returncode == 2
         assert "--sector" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            # the generator of sector 1 is 1 - u^-4, so u^4 = 1
+            (("reduce", "1,2,4", "--sector", "1", "--poly", "u^-1000000000"), "1\n"),
+            (("reduce", "1,2,4", "--sector", "1", "--poly", "u^1000000000"), "1\n"),
+            (("reduce", "1,2,4", "--sector", "1", "--poly", "u^-1000000001"), "u^3\n"),
+            # modulo (u - 1)^2, u^n = n*u - (n - 1) for every integer n
+            (
+                ("reduce", "1,1", "--sector", "0", "--poly", "u^-1000000000"),
+                "-1000000000u + 1000000001\n",
+            ),
+            # what mul 1,2,4 --lhs 1:1 --rhs 3:1 prints, as u^4 = 1 in sector 1
+            (
+                ("mul", "1,2,4", "--lhs", "1:u^-1000000000", "--rhs", "3:1"),
+                "0:u^4 - u^3 - u^2 + u\n",
+            ),
+        ],
+        ids=["u^-1e9", "u^1e9", "u^-(1e9+1)", "1,1-u^-1e9", "mul-u^-1e9"],
+    )
+    def test_huge_exponent_answers_under_memory_cap(self, argv, stdout):
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "korb.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            preexec_fn=cap_address_space,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
 
     @pytest.mark.parametrize(
         "argv, lines_read",

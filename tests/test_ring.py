@@ -162,8 +162,95 @@ class TestReduce:
     def test_non_unit_constant_term_rejected(self):
         gm = MonicPoly((2, 0, 1), 0, True)
         ring = SectorRing(0, gm.as_laurent(), gm, 2)
-        with pytest.raises(ValueError, match="constant term"):
-            reduce(ring, LaurentPoly.monomial(-1))
+        # rejected exactly when a negative exponent needs the constant term
+        far = LaurentPoly({1000: 1, 0: 1})
+        assert reduce(ring, far) == reference_reduce(ring, far)
+        for x in (LaurentPoly.monomial(-1), far.shifted(-1), far.shifted(-1005)):
+            with pytest.raises(ValueError, match="constant term"):
+                reduce(ring, x)
+
+
+def reference_reduce(ring, x):
+    """reduce as one bottom-up pass over every negative exponent plus one
+    division: linear in the spread of the exponents, with no jumps."""
+    if ring.rank == 0 or x.is_zero:
+        return LaurentPoly.zero()
+    lo = x.min_exp
+    if lo < 0:
+        gc = ring.gmonic.coeffs
+        buf = [0] * (max(x.max_exp, len(gc) - 2) - lo + 1)
+        for e, c in x.terms.items():
+            buf[e - lo] = c
+        for i in range(-lo):
+            if buf[i]:
+                c = buf[i] * gc[0]
+                for j, gj in enumerate(gc):
+                    buf[i + j] -= c * gj
+        x = LaurentPoly(dict(enumerate(buf[-lo:])))
+    return divmod_monic(x, ring.gmonic)[1]
+
+
+def distinct_rings(b):
+    """One ring per distinct generator: sectors with the same fixed set
+    share their quotient ring."""
+    return tuple({r.gmonic: r for r in build_sector_rings(build_wps(b))}.values())
+
+
+class TestReduceMatchesReference:
+    VECTORS = [(1, 1), (1, 2, 4), (2, 3), (3, 4, 5), (1, 2, 3, 4, 5, 6, 7)]
+
+    @staticmethod
+    def sparse(rng, width):
+        """Up to six terms within +-5000, the gaps between neighbours drawn
+        on both sides of the jump width and far beyond it."""
+        e = rng.randint(-5000, 5000)
+        terms = {e: rng.choice((-1, 1)) * rng.randint(1, 9)}
+        for _ in range(rng.randint(0, 5)):
+            e -= rng.choice(
+                (1, width - 1, width, width + 1, 2 * width, rng.randint(1, 3000))
+            )
+            terms[e] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        return LaurentPoly(terms)
+
+    @pytest.mark.parametrize("b", VECTORS, ids=lambda b: ",".join(map(str, b)))
+    def test_sparse_inputs(self, b):
+        rng = random.Random(sum(b))
+        for ring in distinct_rings(b):
+            width = korb.ring._jump_width(max(ring.rank, 1))
+            for _ in range(12):
+                x = self.sparse(rng, width)
+                assert reduce(ring, x) == reference_reduce(ring, x), (ring, x)
+
+    @pytest.mark.parametrize("b", VECTORS, ids=lambda b: ",".join(map(str, b)))
+    def test_runs_that_cancel_partway(self, b):
+        for ring in distinct_rings(b):
+            if ring.rank == 0:
+                continue
+            g = ring.gmonic.as_laurent()
+            top = LaurentPoly.monomial(4000)
+            cases = [
+                # the top run is a multiple of the generator, so the
+                # residue carried across the gaps below it is zero
+                g.shifted(3000) + LaurentPoly.monomial(-3000, 5),
+                g.shifted(3000) + g.shifted(-3000),
+                g.shifted(3000) + g.shifted(7) + LaurentPoly.monomial(-4000),
+                # the lowest run cancels everything above it
+                top - reference_reduce(ring, top),
+                top.shifted(-8000) - reference_reduce(ring, top.shifted(-8000)),
+            ]
+            for x in cases:
+                assert reduce(ring, x) == reference_reduce(ring, x), (ring, x)
+            assert reduce(ring, cases[1]).is_zero
+            assert reduce(ring, cases[3]).is_zero
+
+    def test_repeated_root_closed_form(self):
+        # modulo (u - 1)^2, u^n = n*u - (n - 1) for every integer n
+        ring = build_sector_rings(build_wps((1, 1)))[0]
+        for k in range(13):
+            for n in (10**k, -(10**k)):
+                assert reduce(ring, LaurentPoly.monomial(n)) == LaurentPoly(
+                    {1: n, 0: 1 - n}
+                )
 
 
 class TestElements:
