@@ -26,6 +26,7 @@ from .ring import (
     build_sector_rings,
     check_exponents,
     element_from_residues,
+    element_spec,
     generator_table,
     presentation,
     reduce,
@@ -72,6 +73,7 @@ __all__ = [
     "build_sector_rings",
     "check_exponents",
     "element_from_residues",
+    "element_spec",
     "generator_table",
     "presentation",
     "reduce",

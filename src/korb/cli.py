@@ -21,6 +21,7 @@ from .laurent import LaurentPoly, parse_laurent
 from .ring import (
     build_sector_rings,
     element_from_residues,
+    element_spec,
     reduce,
     star_multiply,
     torsion_report,
@@ -426,7 +427,7 @@ def cmd_mul(d: WpsData, args: argparse.Namespace) -> str:
         return " + ".join(parts)
     if not nonzero:
         return "0"
-    return "; ".join(f"{s}:{c}" for s, c in nonzero)
+    return element_spec(prod)
 
 
 # name -> (help, extra flags, handler).  Every command also takes the weights

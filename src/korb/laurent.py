@@ -167,6 +167,32 @@ class LaurentPoly:
     __repr__ = __str__
 
 
+def _pack(p: LaurentPoly, lo: int, w: int) -> int:
+    """The signed Kronecker int sum of c*2^(w*(e - lo)) over the terms c*u^e
+    of p; lo must not exceed any exponent of p.
+
+    >>> _pack(LaurentPoly({-1: 3, 1: -2}), -1, 4)
+    -509
+    """
+    return sum(c << w * (e - lo) for e, c in p.terms.items())
+
+
+def _unpack(v: int, lo: int, w: int, n: int) -> LaurentPoly:
+    """Inverse of _pack for v with at most n digits, each of absolute
+    value below 2^(w-1): digit k becomes the coefficient of u^(lo + k).
+
+    Adding 2^(w-1) to every digit makes all of them lie in [0, 2^w), so
+    each is read off with a shift and a mask.
+
+    >>> _unpack(-509, -1, 4, 3)
+    -2u + 3u^-1
+    """
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    v += ((1 << w * n) - 1) // mask * half
+    return LaurentPoly({lo + k: (v >> w * k & mask) - half for k in range(n)})
+
+
 def _term_str(c: int, e: int) -> str:
     # c is the absolute coefficient, always >= 1 here
     if e == 0:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .laurent import LaurentPoly, MonicPoly, divmod_monic, normalize
+from .laurent import LaurentPoly, MonicPoly, _pack, _unpack, divmod_monic, normalize
 from .sectors import (
     WpsData,
     carry_rows,
@@ -266,10 +266,25 @@ def star_multiply(
     """Product in the full ring: convolve sectors, twist by the structure
     coefficient, reduce in the target sector.
 
-    Only pairs of nonzero components landing in a live sector are visited,
-    so c(s, t) is looked up for those pairs alone.  Their unreduced
-    products are summed per target and reduced once: reduce is Z-linear
-    and its residue unique, so this equals reducing every term.
+    Each operand is packed once: every nonzero component becomes one
+    signed Kronecker int (Harvey, arXiv:0712.4046), digit k holding the
+    coefficient of u^(lo + k), where lo is the operand's lowest exponent
+    over all its components.  A pair's product xs*yt is then one bigint
+    multiply.  Only pairs landing in a live sector are visited, so c(s, t)
+    is looked up for those pairs alone.  c(s, t) is the Euler product over
+    the obstructed coordinates, so a vector of n+1 weights has at most
+    2^(n+1) of them, and equal classes share one object: the packed
+    products are summed per (target, class) as ints.  Each group sum is
+    unpacked once, multiplied by its c and added to its target's sum, which
+    is reduced once (reduce is Z-linear and its residue unique, so this
+    equals reducing every term).
+
+    The digit width w is exact for any operands.  A digit of one pair
+    product sums at most min(span_x, span_y) coefficient products, where a
+    span counts an operand's exponents from lo to its highest; a group
+    holds at most ell pairs, one per s.  So every digit of a group sum is
+    at most B = ell * min(span_x, span_y) * max|x| * max|y| in absolute
+    value, and w = bits of B + 1 keeps it below 2^(w-1).
 
     >>> from korb.sectors import build_wps
     >>> d = build_wps((1, 2, 4))
@@ -281,22 +296,55 @@ def star_multiply(
         raise ValueError("elements do not belong to this weight data")
     if len(x.comps) != d.ell or len(y.comps) != d.ell:
         raise ValueError(f"elements must have one component per sector ({d.ell})")
-    sums: dict[int, LaurentPoly] = {}
-    for s, xs in enumerate(x.comps):
-        if xs.is_zero:
-            continue
-        for t, yt in enumerate(y.comps):
-            if yt.is_zero:
-                continue
+    xs = [(s, p) for s, p in enumerate(x.comps) if p]
+    ys = [(t, p) for t, p in enumerate(y.comps) if p]
+    if not xs or not ys:
+        return zero_element(d)
+    lo_x, span_x, top_x = _extent(xs)
+    lo_y, span_y, top_y = _extent(ys)
+    w = (d.ell * min(span_x, span_y) * top_x * top_y).bit_length() + 1
+    packed_y = [(t, _pack(p, lo_y, w)) for t, p in ys]
+    # (target, id(c)) -> [c, packed sum]; holding c keeps its id unique
+    groups: dict[tuple[int, int], list] = {}
+    for s, p in xs:
+        xi = _pack(p, lo_x, w)
+        for t, yi in packed_y:
             tgt = (s + t) % d.ell
             if rings[tgt].rank == 0:
                 continue
-            term = xs * yt * structure_coefficient(d, s, t)
-            sums[tgt] = sums[tgt] + term if tgt in sums else term
+            c = structure_coefficient(d, s, t)
+            group = groups.get((tgt, id(c)))
+            if group is None:
+                groups[tgt, id(c)] = [c, xi * yi]
+            else:
+                group[1] += xi * yi
+    sums: dict[int, LaurentPoly] = {}
+    for (tgt, _), (c, v) in groups.items():
+        term = _unpack(v, lo_x + lo_y, w, span_x + span_y - 1) * c
+        sums[tgt] = sums[tgt] + term if tgt in sums else term
     out = [LaurentPoly.zero()] * d.ell
     for tgt, p in sums.items():
         out[tgt] = reduce(rings[tgt], p)
     return KOrbElement(d.b, tuple(out))
+
+
+def _extent(comps: list[tuple[int, LaurentPoly]]) -> tuple[int, int, int]:
+    """Lowest exponent, span of exponents and largest absolute coefficient
+    over the nonzero components of one operand."""
+    lo = min(p.min_exp for _, p in comps)
+    hi = max(p.max_exp for _, p in comps)
+    top = max(abs(c) for _, p in comps for c in p.terms.values())
+    return lo, hi - lo + 1, top
+
+
+def element_spec(x: KOrbElement) -> str:
+    """x in the 'sector:poly; ...' syntax that korb mul --lhs/--rhs parses,
+    one entry per nonzero component; the zero element is '0:0'.
+
+    >>> element_spec(KOrbElement((1, 2), (LaurentPoly.zero(), LaurentPoly({1: 2, 0: -1}))))
+    '1:2u - 1'
+    """
+    return "; ".join(f"{s}:{p}" for s, p in enumerate(x.comps) if p) or "0:0"
 
 
 def generator_table(d: WpsData) -> tuple[tuple[int, int, int, LaurentPoly], ...]:
@@ -421,7 +469,10 @@ def verify(d: WpsData, trials: int = 500, seed: int = 0) -> VerifyReport:
 
     Exhaustively, via check_exponents.  Randomly, via seeded trials of
     commutativity, associativity, distributivity, and the unit law on
-    elements with random residues.
+    elements with random residues.  The sector ranks must also add up to
+    sum(b_k^2), an oracle read off the weights alone.  A failing trial's
+    line names the seed and the trial, and gives x, y and z in the syntax
+    of korb mul --lhs/--rhs, so the failure replays.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -433,6 +484,13 @@ def verify(d: WpsData, trials: int = 500, seed: int = 0) -> VerifyReport:
         return VerifyReport(d.b, d.ell, trials, seed, checks, tuple(failures), False)
 
     rings = build_sector_rings(d)
+    # sector s fixes coordinate k exactly when ell/b_k divides s, which
+    # b_k sectors do, and each adds b_k to its rank
+    ranks, squares = total_rank(rings), sum(w * w for w in d.b)
+    if ranks != squares:
+        failures.append(
+            f"total rank oracle fails: sum of ranks {ranks} != sum of squared weights {squares}"
+        )
     one = unit_element(d)
     rng = random.Random(seed)
     for i in range(trials):
@@ -440,16 +498,25 @@ def verify(d: WpsData, trials: int = 500, seed: int = 0) -> VerifyReport:
         y = random_element(rings, d, rng)
         z = random_element(rings, d, rng)
         xy = star_multiply(rings, d, x, y)
-        if xy != star_multiply(rings, d, y, x):
-            failures.append(f"commutativity fails at trial {i}")
-        lhs = star_multiply(rings, d, xy, z)
-        rhs = star_multiply(rings, d, x, star_multiply(rings, d, y, z))
-        if lhs != rhs:
-            failures.append(f"associativity fails at trial {i}")
-        if star_multiply(rings, d, x, y + z) != xy + star_multiply(rings, d, x, z):
-            failures.append(f"distributivity fails at trial {i}")
-        if star_multiply(rings, d, one, x) != x:
-            failures.append(f"unit law fails at trial {i}")
+        laws = (
+            ("commutativity", xy == star_multiply(rings, d, y, x)),
+            (
+                "associativity",
+                star_multiply(rings, d, xy, z)
+                == star_multiply(rings, d, x, star_multiply(rings, d, y, z)),
+            ),
+            (
+                "distributivity",
+                star_multiply(rings, d, x, y + z) == xy + star_multiply(rings, d, x, z),
+            ),
+            ("unit law", star_multiply(rings, d, one, x) == x),
+        )
+        for law, held in laws:
+            if not held:
+                failures.append(
+                    f"{law} fails at trial {i} of seed {seed}: x='{element_spec(x)}'"
+                    f" y='{element_spec(y)}' z='{element_spec(z)}'"
+                )
     return VerifyReport(
         d.b, d.ell, trials, seed, checks, tuple(failures), not failures
     )

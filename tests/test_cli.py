@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import resource
 import subprocess
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 import korb.cli
 from korb.cli import _COMMANDS, _poly_latex, main
 from korb.laurent import LaurentPoly, parse_laurent
-from korb.ring import build_sector_rings, star_multiply, element_from_residues
+from korb.ring import (
+    build_sector_rings,
+    element_from_residues,
+    element_spec,
+    random_element,
+    star_multiply,
+)
 from korb.sectors import build_wps, kernel_generator, structure_coefficient
 
 
@@ -523,6 +530,40 @@ class TestErrorPaths:
         code, _, err = run("verify", "1,2,4", "--trials", "0")
         assert code == 2
         assert err == "error: --trials must be >= 1\n"
+
+
+class TestVerifyFailuresReplay:
+    def test_printed_operands_rebuild_the_trial(self, monkeypatch):
+        # doubling c(1,1) alone keeps every law but associativity:
+        # (alpha_1 alpha_1) alpha_2 doubles, alpha_1 (alpha_1 alpha_2) does not
+        real = korb.ring.structure_coefficient
+        monkeypatch.setattr(
+            korb.ring,
+            "structure_coefficient",
+            lambda d, s, t: real(d, s, t) * 2 if (s, t) == (1, 1) else real(d, s, t),
+        )
+        seed = 5
+        code, out, _ = run("verify", "1,2,4", "--trials", "3", "--seed", str(seed))
+        assert code == 1
+        lines = [line[4:] for line in out.splitlines()[1:]]
+        assert lines and all(line.startswith("associativity fails at trial ") for line in lines)
+        d = build_wps((1, 2, 4))
+        rings = build_sector_rings(d)
+        rng = random.Random(seed)
+        trials = [[random_element(rings, d, rng) for _ in "xyz"] for _ in range(3)]
+        for line in lines:
+            m = re.fullmatch(
+                rf"associativity fails at trial (\d) of seed {seed}: "
+                r"x='([^']*)' y='([^']*)' z='([^']*)'",
+                line,
+            )
+            assert m, line
+            operands = [korb.cli._parse_element_spec(spec, rings, d) for spec in m.groups()[1:]]
+            assert operands == trials[int(m[1])]
+            # the printed x and y are what korb mul takes
+            code, out, _ = run("mul", "1,2,4", "--lhs", m[2], "--rhs", m[3])
+            assert code == 0
+            assert out == element_spec(star_multiply(rings, d, *operands[:2])) + "\n"
 
 
 def usage_error(*args):

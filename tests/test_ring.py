@@ -288,9 +288,6 @@ class TestStarMultiply:
         assert got == alpha(rings124, d124, 3)
 
     def test_all_generator_products_match_structure_rule(self):
-        # (2,3) has collapsed sectors; random operands put many pairs into
-        # every target, so the sum-then-reduce path meets several terms
-        rng = random.Random(11)
         for b in ((2, 3), (1, 2, 4), (3, 4, 5)):
             d = build_wps(b)
             rings = build_sector_rings(d)
@@ -302,11 +299,6 @@ class TestStarMultiply:
                         rings, d, {(s + t) % d.ell: structure_coefficient(d, s, t)}
                     )
                     assert got == want
-            for _ in range(4):
-                x = random_element(rings, d, rng)
-                y = random_element(rings, d, rng)
-                want = _per_pair_product(rings, d, x, y)
-                assert star_multiply(rings, d, x, y) == want
 
     def test_frozen_reduced_products(self, d124, rings124):
         a2 = alpha(rings124, d124, 2)
@@ -351,10 +343,61 @@ def _per_pair_product(rings, d, x, y):
     comps = [LaurentPoly.zero()] * d.ell
     for s, xs in enumerate(x.comps):
         for t, yt in enumerate(y.comps):
+            if not (xs and yt):
+                continue
             tgt = (s + t) % d.ell
             term = xs * yt * structure_coefficient(d, s, t)
             comps[tgt] = comps[tgt] + reduce(rings[tgt], term)
     return KOrbElement(d.b, tuple(comps))
+
+
+def _wild_element(d, rng, nonzero):
+    """Unreduced components in `nonzero` sectors: exponents from -9 up to
+    well above every rank, coefficients up to +-10^40."""
+    comps = [LaurentPoly.zero()] * d.ell
+    for s in rng.sample(range(d.ell), nonzero):
+        lo = rng.randint(-9, 9)
+        top = 10 ** rng.choice((1, 9, 40))
+        comps[s] = LaurentPoly(
+            {e: rng.randint(-top, top) for e in range(lo, lo + rng.randint(1, 15))}
+        )
+    return KOrbElement(d.b, tuple(comps))
+
+
+class TestPackedProduct:
+    """star_multiply packs operands into Kronecker ints; the per-pair
+    reference multiplies LaurentPolys term by term.  (2,3) has collapsed
+    targets, and dense operands put many pairs into one (target, class)
+    group, so the group sums meet several terms."""
+
+    @pytest.mark.parametrize("b", [(1,), (1, 1), (2, 3), (1, 2, 4), (3, 4, 5)])
+    def test_matches_per_pair_reference(self, b):
+        d = build_wps(b)
+        rings = build_sector_rings(d)
+        rng = random.Random(sum(b))
+        zero = zero_element(d)
+        # every sector nonzero puts up to ell pairs into one (target, class)
+        full = _wild_element(d, rng, d.ell), _wild_element(d, rng, d.ell)
+        assert star_multiply(rings, d, *full) == _per_pair_product(rings, d, *full)
+        for _ in range(12):
+            x = _wild_element(d, rng, rng.randint(1, min(d.ell, 12)))
+            y = _wild_element(d, rng, rng.randint(1, min(d.ell, 12)))
+            one_comp = _wild_element(d, rng, 1)
+            for lhs, rhs in ((x, y), (y, x), (x, one_comp), (one_comp, y)):
+                assert star_multiply(rings, d, lhs, rhs) == _per_pair_product(rings, d, lhs, rhs)
+            assert star_multiply(rings, d, x, zero) == zero
+            assert star_multiply(rings, d, zero, y) == zero
+
+    def test_digit_equal_to_the_width_bound(self):
+        # ell 1, one pair, span 2: the middle digit 2*c^2 is B itself
+        d = build_wps((1, 1))
+        rings = build_sector_rings(d)
+        c = -(2**61 - 1)
+        x = KOrbElement(d.b, (LaurentPoly({0: c, 1: c}),))
+        got = star_multiply(rings, d, x, x)
+        assert got == _per_pair_product(rings, d, x, x)
+        # c^2 (1 + u)^2 with u^2 = 2u - 1 modulo (u - 1)^2
+        assert got.comps == (LaurentPoly({1: 4 * c * c}),)
 
 
 @pytest.fixture
@@ -551,6 +594,21 @@ class TestVerify:
             "carry oracle fails: e_0(2,3) = 0",
             "carry oracle fails: e_0(3,3) = 0",
         )
+
+    def test_total_rank_oracle(self, monkeypatch, d124):
+        # dropping coordinate 0 files sector 2 under sector 0's fixed set,
+        # so it gets rank 7, not 6
+        real = korb.ring.fixed_set
+        monkeypatch.setattr(
+            korb.ring, "fixed_set", lambda d, s: tuple(k for k in real(d, s) if k)
+        )
+        rep = verify(d124, trials=1)
+        assert not rep.passed
+        assert (
+            "total rank oracle fails: sum of ranks 22 != sum of squared weights 21"
+            in rep.failures
+        )
+        assert rep.exponent_checks == 30 + 12 + 73
 
     def test_deterministic_given_seed(self, d124):
         assert verify(d124, trials=20, seed=9) == verify(d124, trials=20, seed=9)
