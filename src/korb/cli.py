@@ -40,9 +40,17 @@ from .sectors import (
 )
 
 
+def _decimal(text: str) -> int:
+    """int(text) when text is an optionally signed run of ASCII digits,
+    spaces around it allowed; int() alone also takes '1_0' and '١'."""
+    if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_weights(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p.strip()) for p in text.split(","))
+        return tuple(_decimal(p) for p in text.split(","))
     except ValueError:
         raise ValueError(
             f"weights must be comma-separated integers, got {text!r}"
@@ -234,29 +242,29 @@ def cmd_kernels(d: WpsData, args: argparse.Namespace) -> str:
     if fmt == "json":
         sectors = [
             {
-                "s": r.sector,
-                "fixed": list(fixed_set(d, r.sector)),
+                "s": s,
+                "fixed": list(fixed_set(d, s)),
                 "kernel": str(r.gen),
                 "rank": r.rank,
             }
-            for r in rings
+            for s, r in enumerate(rings)
         ]
         return _json_doc("kernels", d, sectors=sectors)
     if fmt == "latex":
         lines = ["\\begin{align*}"]
-        for r in rings:
-            prod = _factors(fixed_weights(d, r.sector), True)
-            sep = " \\\\" if r.sector < d.ell - 1 else ""
+        for s in range(d.ell):
+            prod = _factors(fixed_weights(d, s), True)
+            sep = " \\\\" if s < d.ell - 1 else ""
             lines.append(
-                "\\ker(" + _sub("\\kappa", r.sector) + ") &= \\langle "
-                + _alpha(r.sector, True) + f" {prod} \\rangle{sep}"
+                "\\ker(" + _sub("\\kappa", s) + ") &= \\langle "
+                + _alpha(s, True) + f" {prod} \\rangle{sep}"
             )
         lines.append("\\end{align*}")
         return "\n".join(lines)
     lines = _header_lines(d)
-    for r in rings:
-        prod = _factors(fixed_weights(d, r.sector), False)
-        lines.append(f"s={r.sector}: {prod}  [rank {r.rank}]")
+    for s, r in enumerate(rings):
+        prod = _factors(fixed_weights(d, s), False)
+        lines.append(f"s={s}: {prod}  [rank {r.rank}]")
     return "\n".join(lines)
 
 
@@ -395,7 +403,7 @@ def _parse_element_spec(text: str, rings, d: WpsData):
             )
         stxt, ptxt = chunk.split(":", 1)
         try:
-            s = int(stxt.strip())
+            s = _decimal(stxt)
         except ValueError:
             raise ValueError(f"bad sector index {stxt.strip()!r}") from None
         check_sector(d, s)

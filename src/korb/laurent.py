@@ -343,9 +343,15 @@ def _skip_ws(text: str, i: int) -> int:
     return i
 
 
+def _is_digit(c: str) -> bool:
+    # str.isdigit also takes '²', which int() rejects, and '١', which
+    # int() reads as 1
+    return "0" <= c <= "9"
+
+
 def _parse_int(text: str, i: int) -> tuple[int, int]:
     j = i
-    while j < len(text) and text[j].isdigit():
+    while j < len(text) and _is_digit(text[j]):
         j += 1
     if j == i:
         raise ParseError("expected an integer", i)
@@ -356,7 +362,7 @@ def _parse_term(text: str, i: int) -> tuple[int, int, int]:
     """Parse one unsigned term; return (coefficient, exponent, next index)."""
     n = len(text)
     coeff = None
-    if i < n and text[i].isdigit():
+    if i < n and _is_digit(text[i]):
         coeff, i = _parse_int(text, i)
         i = _skip_ws(text, i)
         if i < n and text[i] == "*":

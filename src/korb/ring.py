@@ -20,7 +20,6 @@ from .sectors import (
     carry_rows,
     check_sector,
     euler_product,
-    fixed_set,
     kernel_generator,
     obstruction_exponent,
     sector_pairs,
@@ -30,12 +29,9 @@ from .sectors import (
 
 @dataclass(frozen=True)
 class SectorRing:
-    """One sector's quotient ring data.
+    """Quotient ring data shared by the sectors s with one gcd(s, ell); rank
+    0 marks a collapsed sector (generator 1, zero ring)."""
 
-    rank 0 marks a collapsed sector (generator 1, zero ring).
-    """
-
-    sector: int
     gen: LaurentPoly
     gmonic: MonicPoly
     rank: int
@@ -115,20 +111,22 @@ class VerifyReport:
 
 
 def build_sector_rings(d: WpsData) -> tuple[SectorRing, ...]:
-    """All ell sector rings; generators are shared between sectors with
-    the same fixed coordinate set, so large ell stays cheap."""
-    cache: dict[tuple[int, ...], tuple[LaurentPoly, MonicPoly]] = {}
-    rings = []
-    for s in range(d.ell):
-        ks = fixed_set(d, s)
-        hit = cache.get(ks)
-        if hit is None:
-            gen = kernel_generator(d, s)
-            hit = (gen, normalize(gen))
-            cache[ks] = hit
-        gen, gm = hit
-        rings.append(SectorRing(s, gen, gm, gm.degree))
-    return tuple(rings)
+    """The ring of each sector s, shared by its class g = gcd(s, ell) % ell
+    and built once from sector g: s fixes coordinate k exactly when ell/b_k
+    divides gcd(s, ell), so a class has one fixed set, generator and rank.
+
+    >>> from korb.sectors import build_wps
+    >>> rings = build_sector_rings(build_wps((1, 2, 4)))
+    >>> rings[1] is rings[3], rings[1] is rings[2]
+    (True, False)
+    """
+    classes = [gcd(s, d.ell) % d.ell for s in range(d.ell)]
+    rings = {}
+    for g in set(classes):
+        gen = kernel_generator(d, g)
+        gm = normalize(gen)
+        rings[g] = SectorRing(gen, gm, gm.degree)
+    return tuple(rings[g] for g in classes)
 
 
 def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
@@ -368,8 +366,8 @@ def torsion_report(rings: tuple[SectorRing, ...]) -> TorsionReport:
     """Freeness certificate: every normalized generator must be monic with
     constant term +-1, making each sector quotient a free Z-module."""
     entries = tuple(
-        TorsionEntry(r.sector, r.rank, r.gmonic.monic, r.gmonic.constant)
-        for r in rings
+        TorsionEntry(s, r.rank, r.gmonic.monic, r.gmonic.constant)
+        for s, r in enumerate(rings)
     )
     return TorsionReport(entries, all(e.free for e in entries))
 

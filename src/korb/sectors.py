@@ -47,9 +47,9 @@ def check_sector(d: WpsData, s: int) -> None:
 
 
 def fixed_set(d: WpsData, s: int) -> tuple[int, ...]:
-    """Coordinates k fixed by sector s, i.e. those with r_k(s) = 0."""
+    """Coordinates k fixed by sector s, i.e. those with b_k * s = 0 mod ell."""
     check_sector(d, s)
-    return tuple(k for k in range(len(d.b)) if d.logw[k][s] == 0)
+    return tuple(k for k, w in enumerate(d.b) if w * s % d.ell == 0)
 
 
 def obstruction_exponent(d: WpsData, k: int, s: int, t: int) -> int:

@@ -193,11 +193,11 @@ def test_criterion_7_rank_equivalence():
     for b in SWEEP:
         d = build_wps(b)
         ell = math.lcm(*b)
-        for ring in build_sector_rings(d):
-            oracle = sum(w for w in b if w * ring.sector % ell == 0)
+        for s, ring in enumerate(build_sector_rings(d)):
+            oracle = sum(w for w in b if w * s % ell == 0)
             degree = len(ring.gmonic.coeffs) - 1
             if not (ring.rank == degree == oracle):
-                bad.append((b, ring.sector))
+                bad.append((b, s))
     totals_ok = total_rank(build_sector_rings(build_wps((1, 2, 4)))) == 21
     for m in range(1, 7):
         rings = build_sector_rings(build_wps((1,) * m))

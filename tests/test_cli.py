@@ -521,6 +521,27 @@ class TestErrorPaths:
         assert code == 2
         assert err == "error: expected an integer (at position 2)\n"
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ("rank", "1_0,2"),
+                "error: weights must be comma-separated integers, got '1_0,2'\n",
+            ),
+            (
+                ("mul", "1,2,4", "--lhs", "١:1", "--rhs", "0:1"),
+                "error: bad sector index '١'\n",
+            ),
+            (
+                ("reduce", "1,2,4", "--sector", "1", "--poly", "u^²"),
+                "error: expected an integer (at position 2)\n",
+            ),
+        ],
+        ids=["weights-1_0", "sector-arabic-indic-1", "poly-superscript-2"],
+    )
+    def test_integers_are_ascii_decimal(self, argv, err):
+        assert run(*argv) == (2, "", err)
+
     def test_duplicate_sector_in_spec(self):
         code, _, err = run("mul", "1,2,4", "--lhs", "1:1;1:u", "--rhs", "0:1")
         assert code == 2
@@ -654,6 +675,10 @@ class TestParser:
         assert built == []
 
 
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 class TestSubprocess:
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -694,9 +719,6 @@ class TestSubprocess:
         ids=["u^-1e9", "u^1e9", "u^-(1e9+1)", "1,1-u^-1e9", "mul-u^-1e9"],
     )
     def test_huge_exponent_answers_under_memory_cap(self, argv, stdout):
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
         proc = subprocess.run(
             [sys.executable, "-m", "korb.cli", *argv],
             capture_output=True,
@@ -705,6 +727,17 @@ class TestSubprocess:
             preexec_fn=cap_address_space,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
+    def test_large_ell_answers_under_memory_cap(self):
+        # ell = 1009 * 1013 sectors, which share the rings of ell's 4 divisors
+        proc = subprocess.run(
+            [sys.executable, "-m", "korb.cli", "rank", "1009,1013"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            preexec_fn=cap_address_space,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2044250\n", "")
 
     @pytest.mark.parametrize(
         "argv, lines_read",

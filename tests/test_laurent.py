@@ -45,7 +45,10 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "   ", "u^", "2*", "*u", "u 2", "2 3", "1 +", "^3", "u^--2", "x"],
+        [
+            "", "   ", "u^", "2*", "*u", "u 2", "2 3", "1 +", "^3", "u^--2", "x",
+            "u^²", "²", "١٢u", "u^١",
+        ],
     )
     def test_malformed(self, bad):
         with pytest.raises(ParseError) as err:

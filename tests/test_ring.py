@@ -1,8 +1,10 @@
 import random
+from math import gcd
 
 import pytest
 
 import korb.ring
+import korb.sectors
 from korb.laurent import (
     LaurentPoly,
     MonicPoly,
@@ -73,11 +75,34 @@ class TestBuildSectorRings:
         for _ in range(30):
             b = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 4)))
             d = build_wps(b)
-            for r in build_sector_rings(d):
+            for s, r in enumerate(build_sector_rings(d)):
                 expected = sum(
-                    b[k] for k in range(len(b)) if b[k] * r.sector % d.ell == 0
+                    b[k] for k in range(len(b)) if b[k] * s % d.ell == 0
                 )
                 assert r.rank == expected
+
+    @pytest.mark.parametrize(
+        "b", [(1, 2, 4), (2, 3), (4, 6), (6, 10, 15), (3, 4, 5), tuple(range(1, 8))]
+    )
+    def test_one_shared_ring_per_gcd_class(self, b):
+        d = build_wps(b)
+        rings = build_sector_rings(d)
+        assert len(rings) == d.ell
+        for s, r in enumerate(rings):
+            assert r.rank == sum(w for w in b if w * s % d.ell == 0)
+            assert r is rings[gcd(s, d.ell) % d.ell]
+        classes = {gcd(s, d.ell) for s in range(d.ell)}
+        assert len({id(r) for r in rings}) == len(classes)
+
+    def test_one_fixed_set_per_divisor_of_ell(self, monkeypatch):
+        calls = []
+        real = korb.sectors.fixed_set
+        monkeypatch.setattr(
+            korb.sectors, "fixed_set", lambda d, s: calls.append(s) or real(d, s)
+        )
+        build_sector_rings(build_wps((8, 9, 11)))
+        # 792 = 2^3 * 3^2 * 11 has 4 * 3 * 2 divisors
+        assert len(calls) == 24
 
     def test_inverse_of_u(self, rings124):
         u_inv = LaurentPoly.monomial(-1)
@@ -161,7 +186,7 @@ class TestReduce:
 
     def test_non_unit_constant_term_rejected(self):
         gm = MonicPoly((2, 0, 1), 0, True)
-        ring = SectorRing(0, gm.as_laurent(), gm, 2)
+        ring = SectorRing(gm.as_laurent(), gm, 2)
         # rejected exactly when a negative exponent needs the constant term
         far = LaurentPoly({1000: 1, 0: 1})
         assert reduce(ring, far) == reference_reduce(ring, far)
@@ -596,16 +621,16 @@ class TestVerify:
         )
 
     def test_total_rank_oracle(self, monkeypatch, d124):
-        # dropping coordinate 0 files sector 2 under sector 0's fixed set,
-        # so it gets rank 7, not 6
-        real = korb.ring.fixed_set
+        # dropping coordinate 0 takes 1 - u^-1 out of sector 0's generator,
+        # the one sector that fixes it, so that sector gets rank 6, not 7
+        real = korb.sectors.fixed_set
         monkeypatch.setattr(
-            korb.ring, "fixed_set", lambda d, s: tuple(k for k in real(d, s) if k)
+            korb.sectors, "fixed_set", lambda d, s: tuple(k for k in real(d, s) if k)
         )
         rep = verify(d124, trials=1)
         assert not rep.passed
         assert (
-            "total rank oracle fails: sum of ranks 22 != sum of squared weights 21"
+            "total rank oracle fails: sum of ranks 20 != sum of squared weights 21"
             in rep.failures
         )
         assert rep.exponent_checks == 30 + 12 + 73
