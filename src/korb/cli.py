@@ -319,30 +319,29 @@ def cmd_rank(d: WpsData, args: argparse.Namespace) -> str:
 def cmd_torsion(d: WpsData, args: argparse.Namespace) -> str:
     fmt = args.format
     rings = build_sector_rings(d)
-    rep = torsion_report(rings)
-    status = "PASS" if rep.passed else "FAIL"
+    status = "PASS" if torsion_report(rings).passed else "FAIL"
     if fmt == "json":
         sectors = [
             {
-                "s": e.sector,
-                "rank": e.rank,
-                "monic": e.monic,
-                "constant": e.constant,
-                "free": e.free,
+                "s": s,
+                "rank": r.rank,
+                "monic": r.gmonic.monic,
+                "constant": r.gmonic.constant,
+                "free": r.free,
             }
-            for e in rep.entries
+            for s, r in enumerate(rings)
         ]
         return _json_doc("torsion", d, sectors=sectors, status=status)
     if fmt == "latex":
-        ranks = ", ".join(str(e.rank) for e in rep.entries)
+        ranks = ", ".join(str(r.rank) for r in rings)
         return f"\\text{{torsion-free: {status} (ranks {ranks})}}"
     lines = _header_lines(d)
-    for e in rep.entries:
-        kind = "monic" if e.monic else "not monic"
-        verdict = "free" if e.free else "torsion risk"
+    for s, r in enumerate(rings):
+        kind = "monic" if r.gmonic.monic else "not monic"
+        verdict = "free" if r.free else "torsion risk"
         lines.append(
-            f"s={e.sector}: rank {e.rank}, {kind}, "
-            f"constant term {e.constant}: {verdict}"
+            f"s={s}: rank {r.rank}, {kind}, "
+            f"constant term {r.gmonic.constant}: {verdict}"
         )
     lines.append(f"torsion-free: {status}")
     return "\n".join(lines)
@@ -476,6 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, handler) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
+        # type=int flags take the weights' grammar; argparse still names it int
+        sp.register("type", int, _decimal)
         sp.add_argument(
             "weights", help="comma-separated positive integers, e.g. 1,2,4"
         )

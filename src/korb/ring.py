@@ -36,6 +36,12 @@ class SectorRing:
     gmonic: MonicPoly
     rank: int
 
+    @property
+    def free(self) -> bool:
+        """The quotient is a free Z-module: the generator is monic with
+        constant term +-1."""
+        return self.gmonic.monic and self.gmonic.constant in (1, -1)
+
 
 @dataclass(frozen=True)
 class KOrbElement:
@@ -82,20 +88,10 @@ class Presentation:
 
 
 @dataclass(frozen=True)
-class TorsionEntry:
-    sector: int
-    rank: int
-    monic: bool
-    constant: int
-
-    @property
-    def free(self) -> bool:
-        return self.monic and self.constant in (1, -1)
-
-
-@dataclass(frozen=True)
 class TorsionReport:
-    entries: tuple[TorsionEntry, ...]
+    """entries[s] is sector s's ring, shared by its class."""
+
+    entries: tuple[SectorRing, ...]
     passed: bool
 
 
@@ -363,13 +359,8 @@ def total_rank(rings: tuple[SectorRing, ...]) -> int:
 
 
 def torsion_report(rings: tuple[SectorRing, ...]) -> TorsionReport:
-    """Freeness certificate: every normalized generator must be monic with
-    constant term +-1, making each sector quotient a free Z-module."""
-    entries = tuple(
-        TorsionEntry(s, r.rank, r.gmonic.monic, r.gmonic.constant)
-        for s, r in enumerate(rings)
-    )
-    return TorsionReport(entries, all(e.free for e in entries))
+    """Freeness certificate: every sector quotient must be a free Z-module."""
+    return TorsionReport(rings, all(r.free for r in rings))
 
 
 def _cocycle_check(rows: list[int]) -> tuple[int, tuple[int, int, int] | None]:

@@ -1,10 +1,11 @@
 """Sector combinatorics of a weighted circle action on C^(n+1).
 
 The weights b = (b_0, ..., b_n) determine ell = lcm(b) and a cyclic
-stabilizer group of order ell.  Everything downstream reads off the
-residue table r_k(s) = (b_k * s) mod ell: which coordinates the sector s
-fixes, the {0,1} exponents twisting sector products, and the kernel
-generator of each sector's quotient ring.
+stabilizer group of order ell.  The {0,1} exponents twisting sector
+products are read off the residue table r_k(s) = (b_k * s) mod ell.
+Which coordinates the sector s fixes, and so the kernel generator of its
+quotient ring, follow from the divisor rule instead: s fixes k exactly
+when ell/b_k divides gcd(s, ell), so they depend only on that gcd.
 """
 
 from __future__ import annotations

@@ -17,13 +17,15 @@ from hypothesis import strategies as st
 
 import korb.cli
 from korb.cli import _COMMANDS, _poly_latex, main
-from korb.laurent import LaurentPoly, parse_laurent
+from korb.laurent import LaurentPoly, MonicPoly, parse_laurent
 from korb.ring import (
+    SectorRing,
     build_sector_rings,
     element_from_residues,
     element_spec,
     random_element,
     star_multiply,
+    torsion_report,
 )
 from korb.sectors import build_wps, kernel_generator, structure_coefficient
 
@@ -542,6 +544,28 @@ class TestErrorPaths:
     def test_integers_are_ascii_decimal(self, argv, err):
         assert run(*argv) == (2, "", err)
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (("reduce", "1,2,4", "--poly", "u^-1"), "--sector", "١"),
+            (("verify", "1,2,4"), "--trials", "1_0"),
+            (("verify", "1,2,4", "--trials", "1"), "--seed", "٣"),
+        ],
+        ids=["sector-arabic-indic-1", "trials-1_0", "seed-arabic-indic-3"],
+    )
+    def test_integer_flags_are_ascii_decimal(self, argv, flag, value):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, value])
+        assert (exc.value.code, out.getvalue()) == (2, "")
+        assert f"argument {flag}: invalid int value: {value!r}" in err.getvalue()
+
+    def test_integer_flags_take_signs_and_spaces(self):
+        assert run("reduce", "1,2,4", "--sector", " +1 ", "--poly", "u^-1") == (
+            0, "u^3\n", ""
+        )
+
     def test_duplicate_sector_in_spec(self):
         code, _, err = run("mul", "1,2,4", "--lhs", "1:1;1:u", "--rhs", "0:1")
         assert code == 2
@@ -551,6 +575,53 @@ class TestErrorPaths:
         code, _, err = run("verify", "1,2,4", "--trials", "0")
         assert code == 2
         assert err == "error: --trials must be >= 1\n"
+
+
+class TestTorsionFailurePath:
+    """Rings whose generators are not monic, or have constant term 2, are
+    reported as torsion risks in every format, and the run still exits 0."""
+
+    NOT_MONIC = SectorRing(LaurentPoly({0: 1, 1: 2}), MonicPoly((1, 2), 0, False), 1)
+    CONSTANT_2 = SectorRing(LaurentPoly({0: 2, 1: 1}), MonicPoly((2, 1), 0, True), 1)
+
+    @pytest.fixture(autouse=True)
+    def bad_rings(self, monkeypatch):
+        def patched(d):
+            rings = build_sector_rings(d)
+            return rings[:1] + (self.NOT_MONIC, self.CONSTANT_2) + rings[3:]
+
+        monkeypatch.setattr(korb.cli, "build_sector_rings", patched)
+
+    def test_report_fails_and_neither_ring_is_free(self):
+        rings = korb.cli.build_sector_rings(build_wps((1, 2, 4)))
+        assert torsion_report(rings).passed is False
+        assert self.NOT_MONIC.free is False
+        assert self.CONSTANT_2.free is False
+
+    def test_text(self):
+        code, out, err = run("torsion", "1,2,4")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[3:] == [
+            "s=1: rank 1, not monic, constant term 1: torsion risk",
+            "s=2: rank 1, monic, constant term 2: torsion risk",
+            "s=3: rank 4, monic, constant term -1: free",
+            "torsion-free: FAIL",
+        ]
+
+    def test_json(self):
+        code, out, err = run("torsion", "1,2,4", "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["status"] == "FAIL"
+        assert doc["sectors"][1:3] == [
+            {"s": 1, "rank": 1, "monic": False, "constant": 1, "free": False},
+            {"s": 2, "rank": 1, "monic": True, "constant": 2, "free": False},
+        ]
+
+    def test_latex(self):
+        assert run("torsion", "1,2,4", "--format", "latex") == (
+            0, "\\text{torsion-free: FAIL (ranks 7, 1, 1, 4)}\n", ""
+        )
 
 
 class TestVerifyFailuresReplay:
@@ -738,6 +809,17 @@ class TestSubprocess:
             preexec_fn=cap_address_space,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2044250\n", "")
+
+    def test_large_ell_torsion_under_memory_cap(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "korb.cli", "torsion", "1009,1013", "--format", "latex"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            preexec_fn=cap_address_space,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("\\text{torsion-free: PASS (ranks 2022, 0, ")
 
     @pytest.mark.parametrize(
         "argv, lines_read",

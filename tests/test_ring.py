@@ -551,8 +551,8 @@ class TestRankAndTorsion:
         rep = torsion_report(rings124)
         assert rep.passed
         assert tuple(e.rank for e in rep.entries) == (7, 4, 6, 4)
-        assert tuple(e.constant for e in rep.entries) == (-1, -1, 1, -1)
-        assert all(e.monic and e.free for e in rep.entries)
+        assert tuple(e.gmonic.constant for e in rep.entries) == (-1, -1, 1, -1)
+        assert all(e.gmonic.monic and e.free for e in rep.entries)
 
     def test_torsion_6_10_15(self):
         d = build_wps((6, 10, 15))
@@ -565,6 +565,14 @@ class TestRankAndTorsion:
         rep = torsion_report(build_sector_rings(build_wps((1,))))
         assert rep.passed
         assert rep.entries[0].rank == 1
+
+    @pytest.mark.parametrize("b", [(1, 2, 4), (2, 3), (6, 10, 15)])
+    def test_entries_are_the_shared_rings(self, b):
+        rings = build_sector_rings(build_wps(b))
+        rep = torsion_report(rings)
+        assert len(rep.entries) == len(rings)
+        assert all(e is r for e, r in zip(rep.entries, rings))
+        assert rep.passed == all(r.free for r in rings)
 
 
 class TestVerify:
