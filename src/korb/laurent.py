@@ -15,6 +15,7 @@ leading coefficient could be scaled to +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 
@@ -232,6 +233,12 @@ class MonicPoly:
     def constant(self) -> int:
         return self.coeffs[0]
 
+    @cached_property
+    def lower_terms(self) -> tuple[tuple[int, int], ...]:
+        """(j, coeffs[j]) for the nonzero coefficients below the leading
+        one: a division step touches only these.  u^b - 1 has one."""
+        return tuple((j, c) for j, c in enumerate(self.coeffs[:-1]) if c)
+
     def as_laurent(self) -> LaurentPoly:
         return LaurentPoly({e: c for e, c in enumerate(self.coeffs)})
 
@@ -275,6 +282,7 @@ def divmod_monic(x: LaurentPoly, g: MonicPoly) -> tuple[LaurentPoly, LaurentPoly
     """Euclidean division x = q*g + r with deg r < deg g, exact over Z.
 
     x must be an ordinary polynomial (no negative exponents) and g monic.
+    Each step subtracts c*u^(e-d)*g over g's nonzero lower terms only.
 
     >>> divmod_monic(parse_laurent("u^4"), normalize(euler_class(4)))
     (1, 1)
@@ -292,13 +300,14 @@ def divmod_monic(x: LaurentPoly, g: MonicPoly) -> tuple[LaurentPoly, LaurentPoly
     for e, c in x.terms.items():
         rem[e] = c
     q: dict[int, int] = {}
-    gc = g.coeffs
+    lower = g.lower_terms
     for e in range(len(rem) - 1, d - 1, -1):
         c = rem[e]
         if c:
             q[e - d] = c
-            for j in range(d + 1):
-                rem[e - d + j] -= c * gc[j]
+            # the leading term cancels rem[e], which is not read again
+            for j, gj in lower:
+                rem[e - d + j] -= c * gj
     r = {e: c for e, c in enumerate(rem[:d]) if c}
     return LaurentPoly(q), LaurentPoly(r)
 

@@ -136,10 +136,11 @@ def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
     reduced where it stands when it lies within the jump width of u^0;
     otherwise it is reduced from its own lowest exponent e, and the result
     is multiplied by the residue of u^e at the end.  Crossing n exponents
-    one at a time costs about rank*n, a power about 2*rank^2 per bit of n,
-    and the jump width is where the two meet.  So one dense run near u^0,
-    as every target sum of star_multiply on the benchmark ladder is, takes
-    exactly one _reduce_run call, and u^(+-10^9) about 30 squarings.
+    one at a time costs about n times the generator's nonzero terms, a
+    power about 2*rank^2 per bit of n; the jump width is set by the dense
+    cost rank*n (see _jump_width).  So one dense run near u^0, as every
+    target sum of star_multiply on the benchmark ladder is, takes exactly
+    one _reduce_run call, and u^(+-10^9) about 30 squarings.
 
     >>> from korb.sectors import build_wps
     >>> rings = build_sector_rings(build_wps((1, 2, 4)))
@@ -179,12 +180,14 @@ def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
 
 
 def _jump_width(rank: int) -> int:
-    """The gap n above which square-and-multiply beats n unit steps.
+    """The gap n above which square-and-multiply is taken over n unit steps.
 
-    n unit steps cost about rank*n coefficient operations; each of the
-    log2(n) squarings costs a product and its reduction, about 2*rank^2.
-    The two meet at n = 2*rank*log2(n), which 2*rank*(bits of rank + 3)
-    approximates from above.
+    Each of the log2(n) squarings costs a product and its reduction, about
+    2*rank^2 coefficient operations.  Against n dense unit steps, rank*n,
+    the two meet at n = 2*rank*log2(n), which 2*rank*(bits of rank + 3)
+    approximates from above.  A unit step costs only the generator's
+    nonzero terms, about (nonzero terms)*n in all, which for a sparse
+    u^b - 1 is far below rank*n; the width is not refitted to that cost.
     """
     return 2 * rank * (rank.bit_length() + 3)
 
@@ -206,22 +209,27 @@ def _reduce_run(g: MonicPoly, x: LaurentPoly) -> LaurentPoly:
 
     Negative exponents are cleared from the bottom: the constant term g0
     is +-1, so subtracting c*g0*u^e*g removes the term c*u^e and touches
-    only higher exponents.  One division by the monic g then clears the
-    top.  The caller has checked g0 when x has negative exponents.
+    only higher exponents, over g's nonzero terms.  One division by the
+    monic g then clears the top.  The caller has checked g0 when x has
+    negative exponents.
     """
     if x.is_zero:
         return x
     lo = x.min_exp
     if lo < 0:
-        gc = g.coeffs
-        buf = [0] * (max(x.max_exp, len(gc) - 2) - lo + 1)
+        d = g.degree
+        buf = [0] * (max(x.max_exp, d - 1) - lo + 1)
         for e, c in x.terms.items():
             buf[e - lo] = c
+        g0, lead = g.constant, g.coeffs[-1]
         for i in range(-lo):
             if buf[i]:
-                c = buf[i] * gc[0]
-                for j, gj in enumerate(gc):
+                # over g's nonzero terms; the j = 0 one clears buf[i],
+                # which is not read again
+                c = buf[i] * g0
+                for j, gj in g.lower_terms:
                     buf[i + j] -= c * gj
+                buf[i + d] -= c * lead
         x = LaurentPoly(dict(enumerate(buf[-lo:])))
     return divmod_monic(x, g)[1]
 
@@ -264,21 +272,34 @@ def star_multiply(
     signed Kronecker int (Harvey, arXiv:0712.4046), digit k holding the
     coefficient of u^(lo + k), where lo is the operand's lowest exponent
     over all its components.  A pair's product xs*yt is then one bigint
-    multiply.  Only pairs landing in a live sector are visited, so c(s, t)
-    is looked up for those pairs alone.  c(s, t) is the Euler product over
-    the obstructed coordinates, so a vector of n+1 weights has at most
-    2^(n+1) of them, and equal classes share one object: the packed
-    products are summed per (target, class) as ints.  Each group sum is
-    unpacked once, multiplied by its c and added to its target's sum, which
-    is reduced once (reduce is Z-linear and its residue unique, so this
-    equals reducing every term).
+    multiply.  Only pairs landing in a live sector are visited.
+
+    c(s, t) is the Euler product over the coordinates k whose carry
+    [r_k(s) + r_k(t) >= ell] is 1, so a vector of n+1 weights has at most
+    2^(n+1) of them, one per obstruction class.  The class is read off a
+    key: each sector's residues r_k(s) = logw[k][s] are packed into one
+    int, one field of f = bits of ell + 1 bits per coordinate, and the
+    left sector's fields are biased by 2^(f-1) - ell.  A field of the sum
+    then reaches 2^(f-1) exactly when the carry is 1, and never overflows,
+    so masking the top bit of every field gives the obstructed set in one
+    add and one AND per pair.  The key trusts logw to hold b_k*s mod ell,
+    as build_wps makes it (check_exponents proves its carries).  The first
+    pair of each class asks structure_coefficient for c, which is packed
+    once at its own lowest exponent.  The pair products are summed per
+    (target, class) as ints; each group sum is multiplied by its packed c
+    and unpacked once, and the groups of a target are added and reduced
+    once (reduce is Z-linear and its residue unique, so this equals
+    reducing every term).
 
     The digit width w is exact for any operands.  A digit of one pair
     product sums at most min(span_x, span_y) coefficient products, where a
     span counts an operand's exponents from lo to its highest; a group
-    holds at most ell pairs, one per s.  So every digit of a group sum is
-    at most B = ell * min(span_x, span_y) * max|x| * max|y| in absolute
-    value, and w = bits of B + 1 keeps it below 2^(w-1).
+    holds at most one pair per s and one per t.  So every digit of a group
+    sum is at most B = min(#x, #y) * min(span_x, span_y) * max|x| * max|y|
+    in absolute value, #x counting x's nonzero components.  A digit of the
+    group times c adds at most |c|_1 <= 2^(n+1) of those, since each
+    Euler class 1 - u^-b has two unit terms, and w = bits of B*2^(n+1) + 1
+    keeps it below 2^(w-1).
 
     >>> from korb.sectors import build_wps
     >>> d = build_wps((1, 2, 4))
@@ -294,32 +315,47 @@ def star_multiply(
     ys = [(t, p) for t, p in enumerate(y.comps) if p]
     if not xs or not ys:
         return zero_element(d)
+    ell, nb = d.ell, len(d.b)
     lo_x, span_x, top_x = _extent(xs)
     lo_y, span_y, top_y = _extent(ys)
-    w = (d.ell * min(span_x, span_y) * top_x * top_y).bit_length() + 1
-    packed_y = [(t, _pack(p, lo_y, w)) for t, p in ys]
-    # (target, id(c)) -> [c, packed sum]; holding c keeps its id unique
-    groups: dict[tuple[int, int], list] = {}
+    bound = min(len(xs), len(ys)) * min(span_x, span_y) * top_x * top_y << nb
+    w = bound.bit_length() + 1
+    f = ell.bit_length() + 1
+    # a field value below 2^f times `ones` lands in every field
+    ones = sum(1 << f * k for k in range(nb))
+    bias, high = ((1 << f - 1) - ell) * ones, (1 << f - 1) * ones
+    packed_y = [(t, _residues(d, t, f), _pack(p, lo_y, w)) for t, p in ys]
+    # class key -> (lowest exponent, packed c, span of c)
+    coeffs: dict[int, tuple[int, int, int]] = {}
+    groups: dict[tuple[int, int], int] = {}
     for s, p in xs:
         xi = _pack(p, lo_x, w)
-        for t, yi in packed_y:
-            tgt = (s + t) % d.ell
+        rs = bias + _residues(d, s, f)
+        for t, rt, yi in packed_y:
+            tgt = (s + t) % ell
             if rings[tgt].rank == 0:
                 continue
-            c = structure_coefficient(d, s, t)
-            group = groups.get((tgt, id(c)))
-            if group is None:
-                groups[tgt, id(c)] = [c, xi * yi]
-            else:
-                group[1] += xi * yi
+            key = (rs + rt) & high
+            if key not in coeffs:
+                c = structure_coefficient(d, s, t)
+                lo_c = c.min_exp
+                coeffs[key] = lo_c, _pack(c, lo_c, w), c.max_exp - lo_c + 1
+            group = tgt, key
+            groups[group] = groups.get(group, 0) + xi * yi
     sums: dict[int, LaurentPoly] = {}
-    for (tgt, _), (c, v) in groups.items():
-        term = _unpack(v, lo_x + lo_y, w, span_x + span_y - 1) * c
+    for (tgt, key), v in groups.items():
+        lo_c, pc, span_c = coeffs[key]
+        term = _unpack(v * pc, lo_x + lo_y + lo_c, w, span_x + span_y + span_c - 2)
         sums[tgt] = sums[tgt] + term if tgt in sums else term
-    out = [LaurentPoly.zero()] * d.ell
+    out = [LaurentPoly.zero()] * ell
     for tgt, p in sums.items():
         out[tgt] = reduce(rings[tgt], p)
     return KOrbElement(d.b, tuple(out))
+
+
+def _residues(d: WpsData, s: int, f: int) -> int:
+    """The residues r_k(s) = logw[k][s], packed f bits per coordinate k."""
+    return sum(row[s] << f * k for k, row in enumerate(d.logw))
 
 
 def _extent(comps: list[tuple[int, LaurentPoly]]) -> tuple[int, int, int]:

@@ -13,6 +13,7 @@ from korb.laurent import (
     normalize,
     parse_laurent,
 )
+from korb.sectors import euler_product
 
 
 def L(text):
@@ -250,6 +251,33 @@ class TestDivmodMonic:
             q, r = divmod_monic(x, g)
             assert q * g.as_laurent() + r == x
             assert r.is_zero or r.max_exp < g.degree
+
+
+class TestSparseDivision:
+    """divmod_monic steps over the divisor's nonzero lower terms only."""
+
+    def test_lower_terms(self):
+        assert normalize(euler_class(4)).lower_terms == ((0, -1),)
+        assert normalize(euler_class(1) * euler_class(1)).lower_terms == ((0, 1), (1, -2))
+        assert MonicPoly((1,), 0, True).lower_terms == ()
+
+    def test_cached_terms_leave_repr_and_equality(self):
+        g = normalize(euler_class(4))
+        h = normalize(euler_class(4))
+        assert g.lower_terms is g.lower_terms
+        assert g == h and hash(g) == hash(h)
+        assert repr(g) == "MonicPoly(coeffs=(-1, 0, 0, 0, 1), shift=4, monic=True)"
+
+    @given(
+        ws=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        terms=st.dictionaries(st.integers(0, 60), st.integers(-(10**30), 10**30), max_size=12),
+    )
+    def test_euler_product_divisors(self, ws, terms):
+        g = normalize(euler_product(tuple(ws)))
+        x = LaurentPoly(terms)
+        q, r = divmod_monic(x, g)
+        assert q * g.as_laurent() + r == x
+        assert r.is_zero or (r.min_exp >= 0 and r.max_exp < g.degree)
 
 
 class TestMonicPolyValidation:

@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import korb.ring
 import korb.sectors
@@ -278,6 +280,45 @@ class TestReduceMatchesReference:
                 )
 
 
+def dense_reduce(g, x):
+    """x modulo the monic g, stepping over every coefficient of g: clear
+    the exponents below 0 with the constant term +-1, then those from
+    deg g up with the leading 1."""
+    if x.is_zero:
+        return x
+    gc, d = g.coeffs, g.degree
+    lo = min(x.min_exp, 0)
+    buf = [0] * (max(x.max_exp, d) - lo + 1)
+    for e, c in x.terms.items():
+        buf[e - lo] = c
+    for i in range(-lo):
+        c = buf[i] * gc[0]
+        for j in range(d + 1):
+            buf[i + j] -= c * gc[j]
+    for i in range(len(buf) - 1, d - lo - 1, -1):
+        c = buf[i]
+        for j in range(d + 1):
+            buf[i - d + j] -= c * gc[j]
+    return LaurentPoly({e + lo: c for e, c in enumerate(buf) if c})
+
+
+class TestReduceMatchesDenseReference:
+    """reduce against a division that steps over every coefficient of the
+    generator, on the distinct rings of a few vectors: u^b - 1, products
+    of such classes, and the collapsed ring."""
+
+    RINGS = [r for b in ((1, 2, 4), (3, 4, 5), (2, 3), (1, 1, 1, 3, 5)) for r in distinct_rings(b)]
+
+    @given(
+        ring=st.sampled_from(RINGS),
+        terms=st.dictionaries(st.integers(-300, 80), st.integers(-(10**20), 10**20), max_size=10),
+    )
+    def test_negative_exponents(self, ring, terms):
+        x = LaurentPoly(terms)
+        want = dense_reduce(ring.gmonic, x) if ring.rank else LaurentPoly.zero()
+        assert reduce(ring, x) == want
+
+
 class TestElements:
     def test_unit_and_zero_shapes(self, d124):
         one = unit_element(d124)
@@ -364,13 +405,14 @@ class TestStarMultiply:
 
 
 def _per_pair_product(rings, d, x, y):
-    """Reference product: reduce every term in its target, then add."""
+    """Reference product: reduce every term in its target, then add.  A
+    collapsed target is the zero ring, where every term reduces to 0."""
     comps = [LaurentPoly.zero()] * d.ell
     for s, xs in enumerate(x.comps):
         for t, yt in enumerate(y.comps):
-            if not (xs and yt):
-                continue
             tgt = (s + t) % d.ell
+            if not (xs and yt) or rings[tgt].rank == 0:
+                continue
             term = xs * yt * structure_coefficient(d, s, t)
             comps[tgt] = comps[tgt] + reduce(rings[tgt], term)
     return KOrbElement(d.b, tuple(comps))
@@ -387,6 +429,11 @@ def _wild_element(d, rng, nonzero):
             {e: rng.randint(-top, top) for e in range(lo, lo + rng.randint(1, 15))}
         )
     return KOrbElement(d.b, tuple(comps))
+
+
+def element_from_parts(d, parts):
+    """The element with the given unreduced components, zero elsewhere."""
+    return KOrbElement(d.b, tuple(parts.get(s, LaurentPoly.zero()) for s in range(d.ell)))
 
 
 class TestPackedProduct:
@@ -423,6 +470,80 @@ class TestPackedProduct:
         assert got == _per_pair_product(rings, d, x, x)
         # c^2 (1 + u)^2 with u^2 = 2u - 1 modulo (u - 1)^2
         assert got.comps == (LaurentPoly({1: 4 * c * c}),)
+
+    def test_digit_equal_to_the_coefficient_width_bound(self):
+        # On 1,1,1,3,5 (ell 15) the pair (7, 8) obstructs all five
+        # coordinates: c = (1-u^-1)^3 (1-u^-3) (1-u^-5), |c|_1 = 2^5, and
+        # the sign of its u^e coefficient is (-1)^e, as with every product
+        # of odd-weight classes.  Dense operands +-(2^61 - 1) of the same
+        # alternating sign put every term of some digit of xs*yt*c on one
+        # side: that digit is 2^5 * B exactly, B = 1 * span_x * top^2.
+        d = build_wps((1, 1, 1, 3, 5))
+        rings = build_sector_rings(d)
+        c = structure_coefficient(d, 7, 8)
+        assert sum(abs(v) for v in c.terms.values()) == 2**5
+        assert all((v > 0) == (e % 2 == 0) for e, v in c.terms.items())
+        top = 2**61 - 1
+        span_c = c.max_exp - c.min_exp + 1
+        for span_x in (1, 4):
+            # y is long enough that every digit of c meets span_x pairs
+            xs, yt = (
+                LaurentPoly({i: (-1) ** i * top for i in range(n)})
+                for n in (span_x, span_x + span_c - 1)
+            )
+            product = xs * yt * c
+            assert max(abs(v) for v in product.terms.values()) == 2**5 * span_x * top**2
+            x = element_from_parts(d, {7: xs})
+            y = element_from_parts(d, {8: yt})
+            got = star_multiply(rings, d, x, y)
+            assert got == _per_pair_product(rings, d, x, y)
+            assert got.comps[0] == reduce(rings[0], product)
+
+    def test_dense_operands_in_every_sector(self):
+        # every pair of 1,1,1,3,5 at once, coefficients +-(2^61 - 1)
+        d = build_wps((1, 1, 1, 3, 5))
+        rings = build_sector_rings(d)
+        rng = random.Random(5)
+        top = 2**61 - 1
+        x, y = (
+            element_from_parts(
+                d,
+                {
+                    s: LaurentPoly({i: rng.choice((-top, top)) for i in range(rng.randint(1, 12))})
+                    for s in range(d.ell)
+                },
+            )
+            for _ in "xy"
+        )
+        assert star_multiply(rings, d, x, y) == _per_pair_product(rings, d, x, y)
+
+
+def _small_element(d, rng):
+    """Every component nonzero: one to three terms, exponents from -3."""
+    return element_from_parts(
+        d,
+        {
+            s: LaurentPoly({rng.randint(-3, 6): rng.randint(-9, 9) or 1 for _ in range(3)})
+            for s in range(d.ell)
+        },
+    )
+
+
+class TestClassKeys:
+    """star_multiply reads each pair's obstruction class off packed
+    residue fields, f = bits of ell + 1 wide: ell 63 = 2^6 - 1 fills its
+    fields' low bits, ell 8 = 2^3 is a power of two, and 1..7 packs seven
+    fields into one key."""
+
+    @pytest.mark.parametrize(
+        "b", [(7, 9), (1, 2, 4, 8), (1, 2, 3, 4, 5, 6, 7)], ids=lambda b: ",".join(map(str, b))
+    )
+    def test_full_operands_match_per_pair_reference(self, b):
+        d = build_wps(b)
+        rings = build_sector_rings(d)
+        rng = random.Random(d.ell)
+        x, y = _small_element(d, rng), _small_element(d, rng)
+        assert star_multiply(rings, d, x, y) == _per_pair_product(rings, d, x, y)
 
 
 @pytest.fixture
@@ -473,6 +594,25 @@ class TestStarMultiplyLooksUpOnlyTouchedPairs:
             coefficient_calls.clear()
             star_multiply(rings, d, x, y)
             assert len(coefficient_calls) <= k * m
+
+
+class TestStarMultiplyLooksUpOncePerClass:
+    @pytest.mark.parametrize("b", [(3, 4, 5), (1, 2, 3, 4, 5, 6, 7)], ids=lambda b: ",".join(map(str, b)))
+    def test_full_operands(self, coefficient_calls, b):
+        d = build_wps(b)
+        rings = build_sector_rings(d)
+        x, y = _small_element(d, random.Random(1)), _small_element(d, random.Random(2))
+        star_multiply(rings, d, x, y)
+        classes = {
+            korb.sectors.obstruction_set(d, s, t)
+            for s in range(d.ell)
+            for t in range(d.ell)
+            if rings[(s + t) % d.ell].rank
+        }
+        assert 0 < len(coefficient_calls) <= len(classes)
+        # one lookup per class
+        looked_up = [korb.sectors.obstruction_set(d, s, t) for s, t in coefficient_calls]
+        assert len(set(looked_up)) == len(looked_up)
 
 
 class TestGeneratorTable:
