@@ -17,7 +17,7 @@ from math import gcd
 from .laurent import LaurentPoly, MonicPoly, _pack, _unpack, divmod_monic, normalize
 from .sectors import (
     WpsData,
-    carry_rows,
+    carry_keys,
     check_sector,
     euler_product,
     kernel_generator,
@@ -276,20 +276,14 @@ def star_multiply(
 
     c(s, t) is the Euler product over the coordinates k whose carry
     [r_k(s) + r_k(t) >= ell] is 1, so a vector of n+1 weights has at most
-    2^(n+1) of them, one per obstruction class.  The class is read off a
-    key: each sector's residues r_k(s) = logw[k][s] are packed into one
-    int, one field of f = bits of ell + 1 bits per coordinate, and the
-    left sector's fields are biased by 2^(f-1) - ell.  A field of the sum
-    then reaches 2^(f-1) exactly when the carry is 1, and never overflows,
-    so masking the top bit of every field gives the obstructed set in one
-    add and one AND per pair.  The key trusts logw to hold b_k*s mod ell,
-    as build_wps makes it (check_exponents proves its carries).  The first
-    pair of each class asks structure_coefficient for c, which is packed
-    once at its own lowest exponent.  The pair products are summed per
-    (target, class) as ints; each group sum is multiplied by its packed c
-    and unpacked once, and the groups of a target are added and reduced
-    once (reduce is Z-linear and its residue unique, so this equals
-    reducing every term).
+    2^(n+1) of them, one per obstruction class, read off the pair's carry
+    key (sectors.carry_keys): one add and one AND per pair, trusting logw
+    to hold b_k*s mod ell, as build_wps makes it.  The first pair of each
+    class asks structure_coefficient for c, which is packed once at its
+    own lowest exponent.  The pair products are summed per (target, class)
+    as ints; each group sum is multiplied by its packed c and unpacked
+    once, and the groups of a target are added and reduced once (reduce is
+    Z-linear and its residue unique, so this equals reducing every term).
 
     The digit width w is exact for any operands.  A digit of one pair
     product sums at most min(span_x, span_y) coefficient products, where a
@@ -320,17 +314,16 @@ def star_multiply(
     lo_y, span_y, top_y = _extent(ys)
     bound = min(len(xs), len(ys)) * min(span_x, span_y) * top_x * top_y << nb
     w = bound.bit_length() + 1
-    f = ell.bit_length() + 1
-    # a field value below 2^f times `ones` lands in every field
-    ones = sum(1 << f * k for k in range(nb))
-    bias, high = ((1 << f - 1) - ell) * ones, (1 << f - 1) * ones
-    packed_y = [(t, _residues(d, t, f), _pack(p, lo_y, w)) for t, p in ys]
+    keys_x, bias, tops = carry_keys(d, (s for s, _ in xs))
+    keys_y = carry_keys(d, (t for t, _ in ys))[0]
+    high = sum(tops)
+    packed_y = [(t, kt, _pack(p, lo_y, w)) for (t, p), kt in zip(ys, keys_y)]
     # class key -> (lowest exponent, packed c, span of c)
     coeffs: dict[int, tuple[int, int, int]] = {}
     groups: dict[tuple[int, int], int] = {}
-    for s, p in xs:
+    for (s, p), ks in zip(xs, keys_x):
         xi = _pack(p, lo_x, w)
-        rs = bias + _residues(d, s, f)
+        rs = bias + ks
         for t, rt, yi in packed_y:
             tgt = (s + t) % ell
             if rings[tgt].rank == 0:
@@ -351,11 +344,6 @@ def star_multiply(
     for tgt, p in sums.items():
         out[tgt] = reduce(rings[tgt], p)
     return KOrbElement(d.b, tuple(out))
-
-
-def _residues(d: WpsData, s: int, f: int) -> int:
-    """The residues r_k(s) = logw[k][s], packed f bits per coordinate k."""
-    return sum(row[s] << f * k for k, row in enumerate(d.logw))
 
 
 def _extent(comps: list[tuple[int, LaurentPoly]]) -> tuple[int, int, int]:
@@ -423,6 +411,12 @@ def _cocycle_check(rows: list[int]) -> tuple[int, tuple[int, int, int] | None]:
     return m**3, None
 
 
+def _cocycle_rows(m: int) -> list[int]:
+    """Carry rows of the residues g*s, s < m, modulo g*m: bit t of row s
+    is [s + t >= m]."""
+    return [(1 << m) - (1 << m - s) for s in range(m)]
+
+
 def random_element(
     rings: tuple[SectorRing, ...], d: WpsData, rng: random.Random
 ) -> KOrbElement:
@@ -444,23 +438,19 @@ def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
     weights rather than from logw, and zero against the identity sector;
     the cocycle identity
     e(s,t) + e([s+t],w) = e(s,[t+w]) + e(t,w) is checked over all triples,
-    once per divisor class of (b_k, ell).  A coordinate whose carry rows
-    equal the oracle's passes its ell*(ell+3)/2 pair and unit checks at
-    once; any other is walked pair by pair to name each failure, and an
-    exponent outside {0,1} ends the walk.  Returns the number of checks
-    and any failure descriptions.
+    once per divisor class of (b_k, ell).  A coordinate whose logw row
+    equals the oracle's residues passes its ell*(ell+3)/2 pair and unit
+    checks at once; any other is walked pair by pair to name each failure,
+    and an exponent outside {0,1} ends the walk.  Returns the number of
+    checks and any failure descriptions.
     """
     failures: list[str] = []
     checks = 0
-    nb = len(d.b)
-    for k in range(nb):
+    for k in range(len(d.b)):
         r = [d.b[k] * s % d.ell for s in range(d.ell)]
-        try:
-            if carry_rows(d.logw[k], d.ell) == carry_rows(r, d.ell):
-                checks += d.ell * (d.ell + 3) // 2
-                continue
-        except ValueError:
-            pass
+        if list(d.logw[k]) == r:
+            checks += d.ell * (d.ell + 3) // 2
+            continue
         try:
             for s in range(d.ell):
                 for t in range(s, d.ell):
@@ -474,7 +464,7 @@ def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
         except ValueError as exc:
             failures.append(str(exc))
     seen: set[int] = set()
-    for k in range(nb):
+    for k in range(len(d.b)):
         g = gcd(d.b[k], d.ell)
         if g in seen:
             continue
@@ -482,7 +472,7 @@ def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
         # The exponent table of b_k depends only on s mod m = ell/g, up to the
         # unit reindexing s -> (b_k/g)*s, so one pass over the residues g*s,
         # s < m, covers every triple in (Z_ell)^3 for every weight in the class.
-        count, bad = _cocycle_check(carry_rows(range(0, d.ell, g), d.ell))
+        count, bad = _cocycle_check(_cocycle_rows(d.ell // g))
         checks += count
         if bad is not None:
             failures.append(f"cocycle identity fails for weight class gcd={g} at {bad}")

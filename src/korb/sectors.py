@@ -2,7 +2,7 @@
 
 The weights b = (b_0, ..., b_n) determine ell = lcm(b) and a cyclic
 stabilizer group of order ell.  The {0,1} exponents twisting sector
-products are read off the residue table r_k(s) = (b_k * s) mod ell.
+products are the carries of r_k(s) = (b_k * s) mod ell, read by carry_keys.
 Which coordinates the sector s fixes, and so the kernel generator of its
 quotient ring, follow from the divisor rule instead: s fixes k exactly
 when ell/b_k divides gcd(s, ell), so they depend only on that gcd.
@@ -68,41 +68,50 @@ def obstruction_exponent(d: WpsData, k: int, s: int, t: int) -> int:
     return e
 
 
-def carry_rows(r, ell: int) -> list[int]:
-    """Bit t of row s is the carry [r[s] + r[t] >= ell], the exponent e(s, t).
+def carry_keys(d: WpsData, sectors) -> tuple[list[int], int, tuple[int, ...]]:
+    """(keys, bias, tops) that read a pair's carries in one add and one AND.
 
-    Raises ValueError unless r[s] == s*r[1] mod ell for every s (so each
-    entry is in [0, ell)): only such rows have their carries as exponents.
-    Row s is mask[ell - r[s]], mask[v] holding the bits t with r[t] >= v.
+    keys[i] packs r_k(s) = logw[k][s], s the i-th given sector, in field k
+    of f = bits of ell + 1 bits.  With the bias 2^(f-1) - ell per field,
+    field k of bias + key_s + key_t reaches its top bit tops[k] exactly when
+    e_k(s, t) = [r_k(s) + r_k(t) >= ell] is 1, and never overflows.  Trusts
+    logw to hold b_k*s mod ell.
+
+    >>> d = build_wps((1, 2, 4))
+    >>> keys, bias, tops = carry_keys(d, range(d.ell))
+    >>> key = bias + keys[1] + keys[3] & sum(tops)
+    >>> [k for k, top in enumerate(tops) if key & top]
+    [0, 1]
     """
-    a = r[1] if len(r) > 1 else 0
-    if any(v != s * a % ell for s, v in enumerate(r)):
-        raise ValueError(f"residue row is not s*{a} mod {ell}")
-    masks = [0] * (ell + 1)
-    for t, v in enumerate(r):
-        masks[v] |= 1 << t
-    for v in range(ell - 1, -1, -1):
-        masks[v] |= masks[v + 1]
-    return [masks[ell - v] for v in r]
+    f = d.ell.bit_length() + 1
+    tops = tuple(1 << f * k + f - 1 for k in range(len(d.b)))
+    bias = sum(top - (d.ell << f * k) for k, top in enumerate(tops))
+    keys = [sum(row[s] << f * k for k, row in enumerate(d.logw)) for s in sectors]
+    return keys, bias, tops
 
 
 def sector_pairs(d: WpsData, first: int):
     """(s, t, target, obstructed weights) for first <= s <= t < ell, by rows.
 
-    Pairs with the same obstructed coordinates share one weight tuple
-    within a call, so callers can render each of the at most 2^(n+1)
-    classes once, keyed by that tuple.
+    A pair's class, its obstructed coordinates, is read off its carry key;
+    each of the at most 2^(n+1) classes decodes its weight tuple once and
+    shares it with its pairs, so callers can render each class once, keyed
+    by that tuple.  ValueError unless logw[k][s] == b_k*s mod ell throughout.
     """
     ell = d.ell
-    rows = [carry_rows(r, ell) for r in d.logw]
-    classes: dict[tuple[str, ...], tuple[int, ...]] = {}
+    residues = ([w * s % ell for s in range(ell)] for w in d.b)
+    if len(d.logw) != len(d.b) or any(list(r) != rs for r, rs in zip(d.logw, residues)):
+        raise ValueError(f"logweights are not b_k*s mod {ell}, one row per weight")
+    keys, bias, tops = carry_keys(d, range(ell))
+    high = sum(tops)
+    classes: dict[int, tuple[int, ...]] = {}
     for s in range(first, ell):
-        # char i of each string is the coordinate's bit t = s + i
-        bits = [format(row[s] >> s, f"0{ell - s}b")[::-1] for row in rows]
-        for t, key in enumerate(zip(*bits), s):
+        left = bias + keys[s]
+        for t, kt in enumerate(keys[s:], s):
+            key = left + kt & high
             ws = classes.get(key)
             if ws is None:
-                ws = classes[key] = tuple(w for w, c in zip(d.b, key) if c == "1")
+                ws = classes[key] = tuple(w for w, top in zip(d.b, tops) if key & top)
             yield s, t, (s + t) % ell, ws
 
 

@@ -20,6 +20,7 @@ from korb.cli import _COMMANDS, _poly_latex, main
 from korb.laurent import LaurentPoly, MonicPoly, parse_laurent
 from korb.ring import (
     SectorRing,
+    VerifyReport,
     build_sector_rings,
     element_from_residues,
     element_spec,
@@ -314,6 +315,30 @@ class TestLatexFormat:
         )
         assert out == "\\alpha_3\n"
 
+    def test_verify_pass(self):
+        assert run("verify", "1,2,4", "--format", "latex", "--trials", "3") == (
+            0, "\\text{PASS (cocycle exhaustive; 3 random associativity trials)}\n", ""
+        )
+
+    def test_verify_fail(self, monkeypatch):
+        report = VerifyReport((1, 2, 4), 4, 3, 0, 115, ("a fails", "b fails"), False)
+        monkeypatch.setattr(korb.cli, "verify", lambda d, trials, seed: report)
+        assert run("verify", "1,2,4", "--format", "latex", "--trials", "3") == (
+            1, "\\text{FAIL (2 failures)}\n", ""
+        )
+
+    def test_mul_zero_product(self):
+        # sector 1 of 2,3 fixes nothing, so alpha_1 is zero
+        assert run("mul", "2,3", "--format", "latex", "--lhs", "1:1", "--rhs", "1:1") == (
+            0, "0\n", ""
+        )
+
+    def test_mul_non_unit_coefficient(self):
+        code, out, _ = run(
+            "mul", "1,2,4", "--format", "latex", "--lhs", "1:1", "--rhs", "3:2u"
+        )
+        assert (code, out) == (0, "(2u^{5}-2u^{4}-2u^{3}+2u^{2})\\,\\alpha_0\n")
+
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -565,6 +590,17 @@ class TestErrorPaths:
         assert run("reduce", "1,2,4", "--sector", " +1 ", "--poly", "u^-1") == (
             0, "u^3\n", ""
         )
+
+    @pytest.mark.parametrize(
+        "lhs, err",
+        [
+            ("1:1;", "error: empty component in element spec\n"),
+            ("u", "error: component 'u' must look like 'sector:polynomial'\n"),
+        ],
+        ids=["empty-component", "no-colon"],
+    )
+    def test_malformed_element_spec(self, lhs, err):
+        assert run("mul", "1,2,4", "--lhs", lhs, "--rhs", "0:1") == (2, "", err)
 
     def test_duplicate_sector_in_spec(self):
         code, _, err = run("mul", "1,2,4", "--lhs", "1:1;1:u", "--rhs", "0:1")

@@ -649,9 +649,21 @@ class TestGeneratorTable:
             for t in range(s, d.ell)
         )
 
-    def test_corrupt_logweights_raise(self):
+    @pytest.mark.parametrize(
+        "d",
+        [
+            WpsData((1, 2), 2, ((0, 1), (0, 3))),
+            # the weight-3 row 3s mod 4 for b_0 = 1: its carries are those
+            # of weight 3, not the exponents of weight 1
+            WpsData((1, 2, 4), 4, ((0, 3, 2, 1), (0, 2, 0, 2), (0, 0, 0, 0))),
+            # no row for b_1 = 1, whose carry obstructs the pair (1, 1)
+            WpsData((2, 1), 2, ((0, 0),)),
+        ],
+        ids=["exponent-3", "row-of-another-weight", "missing-row"],
+    )
+    def test_corrupt_logweights_raise(self, d):
         with pytest.raises(ValueError):
-            generator_table(WpsData((1, 2), 2, ((0, 1), (0, 3))))
+            generator_table(d)
 
 
 class TestPresentation:
@@ -766,6 +778,19 @@ class TestVerify:
             "carry oracle fails: e_0(1,2) = 1",
             "carry oracle fails: e_0(2,3) = 0",
             "carry oracle fails: e_0(3,3) = 0",
+        )
+
+    def test_unit_law_failures_are_named(self):
+        # logw[0] = (2, 1) is not s*1 mod 2: e_0(0, s) = 2/2 = 1 for both s
+        checks, failures = check_exponents(WpsData((1, 2), 2, ((2, 1), (0, 0))))
+        # 5 walked + 5 matching + cocycle classes gcd 1 and 2: 2^3 + 1^3
+        assert checks == 19
+        assert failures == (
+            "carry oracle fails: e_0(0,0) = 1",
+            "carry oracle fails: e_0(0,1) = 1",
+            "unit law fails: e_0(0,0) != 0",
+            "carry oracle fails: e_0(1,1) = 0",
+            "unit law fails: e_0(0,1) != 0",
         )
 
     def test_total_rank_oracle(self, monkeypatch, d124):

@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 
 from korb.laurent import LaurentPoly, euler_class, parse_laurent
+from korb.ring import _cocycle_rows, generator_table
 from korb.sectors import (
+    WpsData,
     build_wps,
-    carry_rows,
     euler_product,
     fixed_set,
     fixed_weights,
@@ -116,17 +118,20 @@ class TestObstructionExponent:
 
 
 class TestCarryRows:
+    """The carry rows the cocycle check builds in closed form, and the
+    residue rows whose carries are not exponents, which the pair iterator
+    rejects."""
+
     @staticmethod
     def brute_force(r, ell):
         return [sum(1 << t for t, rt in enumerate(r) if rs + rt >= ell) for rs in r]
 
     def test_matches_brute_force(self):
-        for ell in range(1, 13):
-            rows = [[a * s % ell for s in range(ell)] for a in range(ell)]
-            # the residues g*s, s < ell/g, of each divisor class: shorter rows
-            rows += [list(range(0, ell, g)) for g in range(1, ell + 1) if ell % g == 0]
-            for r in rows:
-                assert carry_rows(r, ell) == self.brute_force(r, ell), (ell, r)
+        for m in range(1, 13):
+            for g in (1, 2, 3):
+                # the residues g*s, s < m, of one divisor class of ell = g*m
+                r = range(0, g * m, g)
+                assert _cocycle_rows(m) == self.brute_force(r, g * m), (m, g)
 
     @pytest.mark.parametrize(
         "r, ell",
@@ -134,8 +139,9 @@ class TestCarryRows:
          ((0, 1, 3, 2), 4), ((0, 2, 0, 0), 4)],
     )
     def test_rejects_rows_that_are_not_residues(self, r, ell):
+        # each row as the logweights of one coordinate of weight 1
         with pytest.raises(ValueError):
-            carry_rows(r, ell)
+            generator_table(WpsData((1,), ell, (r,)))
 
 
 class TestSectorPairs:
@@ -149,6 +155,18 @@ class TestSectorPairs:
             for t in range(s, d.ell)
         ]
         assert list(sector_pairs(d, first)) == expected
+
+    def test_first_pair_at_ell_30030_needs_no_quadratic_memory(self):
+        # per-pair bit rows would take n*ell^2/8 bytes here; the keys take O(ell)
+        d = build_wps((2, 3, 5, 7, 11, 13))
+        tracemalloc.start()
+        try:
+            first = next(sector_pairs(d, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == (1, 1, 2, ())
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("b", PAIR_VECTORS)
     def test_one_class_shares_one_weight_tuple(self, b):
@@ -238,3 +256,11 @@ class TestKernelGenerator:
             d = build_wps((1,) * (n + 1))
             assert d.ell == 1
             assert kernel_generator(d, 0) == euler_class(1) ** (n + 1)
+
+
+def test_doctests():
+    import doctest
+
+    import korb.sectors
+
+    assert doctest.testmod(korb.sectors).failed == 0
