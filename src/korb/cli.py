@@ -15,7 +15,8 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
+from itertools import repeat
+from math import gcd
 
 from .laurent import LaurentPoly, parse_laurent
 from .ring import (
@@ -36,7 +37,7 @@ from .sectors import (
     fixed_set,
     fixed_weights,
     kernel_generator,
-    sector_pairs,
+    sector_rows,
 )
 
 
@@ -65,11 +66,16 @@ def _weights_str(d: WpsData) -> str:
 # form otherwise; JSON fields use the text form.
 
 
+def _lowest_terms(a: int, ell: int) -> tuple[int, int]:
+    """a/ell as (numerator, denominator) in lowest terms, ell >= 1."""
+    g = gcd(a, ell)
+    return a // g, ell // g
+
+
 def _zeta(s: int, ell: int, latex: bool) -> str:
-    f = Fraction(s, ell)
-    if f == 0:
+    p, q = _lowest_terms(s, ell)
+    if p == 0:
         return "1"
-    p, q = f.numerator, f.denominator
     if (p, q) == (1, 2):
         return "-1"
     if (p, q) == (1, 4):
@@ -91,10 +97,10 @@ def _fixed(ws: tuple[int, ...], n: int, latex: bool) -> str:
 
 
 def _logw(d: WpsData, k: int, s: int, latex: bool) -> str:
-    f = Fraction(d.logw[k][s], d.ell)
-    if latex and f.denominator != 1:
-        return f"\\frac{{{f.numerator}}}{{{f.denominator}}}"
-    return str(f)
+    p, q = _lowest_terms(d.logw[k][s], d.ell)
+    if q == 1:
+        return str(p)
+    return f"\\frac{{{p}}}{{{q}}}" if latex else f"{p}/{q}"
 
 
 def _factors(ws: tuple[int, ...], latex: bool) -> str:
@@ -121,6 +127,12 @@ def _prefixes(latex: bool):
     return functools.cache(lambda ws: _factors(ws, latex) + sep if ws else "")
 
 
+def _concat(*columns):
+    """The strings a[i] + b[i] + ... of the columns a, b, ..., for i in
+    turn, joined in C."""
+    return map("".join, zip(*columns))
+
+
 def _poly_latex(p: LaurentPoly) -> str:
     return re.sub(r"\^(-?\d+)", r"^{\1}", str(p).replace(" ", ""))
 
@@ -133,24 +145,32 @@ def _json_field(key: str, v) -> str:
     return f"  {json.dumps(key)}: " + json.dumps(v, indent=2).replace("\n", "\n  ")
 
 
-def _json_doc(kind: str, d: WpsData, pairs=None, **extra) -> str:
+def _json_doc(kind: str, d: WpsData, table: bool = False, **extra) -> str:
     """json.dumps(doc, indent=2) of {kind, weights, ell, tableI, **extra}.
 
-    tableI, written only when sector pairs are given, lists one row per pair
-    through one fixed template; each class's coefficient is dumped once.
+    tableI, written only for table=True, has one entry per pair s <= t in
+    one fixed template, built a table row at a time; each class's
+    coefficient is dumped once.  Rows and fields are joined once, by the
+    ",\n" that separates both.
     """
     head = {"kind": kind, "weights": list(d.b), "ell": d.ell}
     fields = [_json_field(k, v) for k, v in head.items()]
-    if pairs is not None:
-        coeff = functools.cache(lambda ws: json.dumps(str(euler_product(ws))))
-        rows = ",\n".join(
-            f'    {{\n      "s": {s},\n      "t": {t},\n      "target": {tgt},\n'
-            f'      "coeff": {coeff(ws)}\n    }}'
-            for s, t, tgt, ws in pairs
-        )
-        fields.append(f'  "tableI": [\n{rows}\n  ]')
+    if table:
+        heads = [f'    {{\n      "s": {s},\n      "t": ' for s in range(d.ell)]
+        mids = [f'{t},\n      "target": ' for t in range(d.ell)]
+        names = [f'{tgt},\n      "coeff": ' for tgt in range(d.ell)]
+        coeff = lambda ws: json.dumps(str(euler_product(ws))) + "\n    }"
+        rows = [
+            ",\n".join(_concat(repeat(heads[s]), mids[s:], targets, coeffs))
+            for s, coeffs, targets in sector_rows(d, 0, coeff, names)
+        ]
+        rows[0] = '  "tableI": [\n' + rows[0]
+        rows[-1] += "\n  ]"
+        fields += rows
     fields += [_json_field(k, v) for k, v in extra.items()]
-    return "{\n" + ",\n".join(fields) + "\n}"
+    fields[0] = "{\n" + fields[0]
+    fields[-1] += "\n}"
+    return ",\n".join(fields)
 
 
 def cmd_chart(d: WpsData, args: argparse.Namespace) -> str:
@@ -203,37 +223,43 @@ def cmd_chart(d: WpsData, args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _display_pairs(d: WpsData):
-    """The pairs the table and the I relations print: alpha_0 is the unit,
+def _display_rows(d: WpsData, render, names):
+    """The rows the table and the I relations print: alpha_0 is the unit,
     so they start at sector 1 unless there is nothing else to show."""
-    return sector_pairs(d, 1 if d.ell > 1 else 0)
+    return sector_rows(d, 1 if d.ell > 1 else 0, render, names)
+
+
+def _pair_lines(d: WpsData, heads, mids, render, names) -> list[str]:
+    """One string per displayed row s: for t = s..ell-1, the lines
+    heads[s] + mids[t] + render(ws) + names[target], ws the pair's class."""
+    return [
+        "\n".join(_concat(repeat(heads[s]), mids[s:], classes, targets))
+        for s, classes, targets in _display_rows(d, render, names)
+    ]
 
 
 def cmd_table(d: WpsData, args: argparse.Namespace) -> str:
     fmt = args.format
     if fmt == "json":
-        return _json_doc("table", d, pairs=sector_pairs(d, 0))
+        return _json_doc("table", d, table=True)
     prefix = _prefixes(fmt == "latex")
     if fmt == "latex":
         alphas = [_alpha(s, True) for s in range(d.ell)]
-        rows = []
-        for s, t, tgt, ws in _display_pairs(d):
-            if t == s:
-                # the cells left of the diagonal stay empty
-                rows.append([alphas[s]] + [""] * len(rows))
-            rows[-1].append(prefix(ws) + alphas[tgt])
-        header = " & " + " & ".join(row[0] for row in rows)
-        lines = [header + " \\\\ \\hline \\hline"]
-        lines += [" & ".join(row) + " \\\\ \\hline" for row in rows]
+        # the cells left of the diagonal stay empty
+        rows = [
+            alphas[s] + " & " * (i + 1) + " & ".join(_concat(classes, targets))
+            + " \\\\ \\hline"
+            for i, (s, classes, targets) in enumerate(_display_rows(d, prefix, alphas))
+        ]
+        header = " & " + " & ".join(alphas[-len(rows):])
+        lines = [header + " \\\\ \\hline \\hline"] + rows
         cols = "c||" + "|".join("c" * len(rows)) + "|"
         body = "\n".join(lines)
         return f"\\begin{{array}}{{{cols}}}\n{body}\n\\end{{array}}"
-    lines = _header_lines(d)
-    lines += (
-        f"alpha_{s} * alpha_{t} = {prefix(ws)}alpha_{tgt}"
-        for s, t, tgt, ws in _display_pairs(d)
-    )
-    return "\n".join(lines)
+    names = [f"alpha_{s}" for s in range(d.ell)]
+    heads = [f"{a} * " for a in names]
+    mids = [f"{a} = " for a in names]
+    return "\n".join(_header_lines(d) + _pair_lines(d, heads, mids, prefix, names))
 
 
 def cmd_kernels(d: WpsData, args: argparse.Namespace) -> str:
@@ -273,32 +299,29 @@ def cmd_present(d: WpsData, args: argparse.Namespace) -> str:
     if fmt == "json":
         rows_j = [{"s": s, "gen": str(kernel_generator(d, s))} for s in range(d.ell)]
         return _json_doc(
-            "presentation", d, pairs=sector_pairs(d, 0), tableJ=rows_j,
+            "presentation", d, table=True, tableJ=rows_j,
             unit="alpha_0 - 1",
         )
     prefix = _prefixes(fmt == "latex")
     if fmt == "latex":
         alphas = [_alpha(s, True) for s in range(d.ell)]
-        lines = ["\\begin{align*}"]
-        lines += (
-            f"{alphas[s]} {alphas[t]} &= {prefix(ws)}{alphas[tgt]} \\\\"
-            for s, t, tgt, ws in _display_pairs(d)
-        )
+        heads = [f"{a} " for a in alphas]
+        mids = [f"{a} &= " for a in alphas]
+        ends = [f"{a} \\\\" for a in alphas]
+        lines = ["\\begin{align*}"] + _pair_lines(d, heads, mids, prefix, ends)
         for s in range(d.ell):
             prod = _factors(fixed_weights(d, s), True)
             lines.append(prod + "\\," + alphas[s] + " &= 0 \\\\")
         lines.append("\\alpha_0 &= 1")
         lines.append("\\end{align*}")
         return "\n".join(lines)
+    names = [f"alpha_{s}" for s in range(d.ell)]
+    heads = [f"  {a} " for a in names]
+    mids = [f"{a} - " for a in names]
     lines = _header_lines(d)
-    lines.append(
-        "generators: " + ", ".join(f"alpha_{s}" for s in range(d.ell))
-    )
+    lines.append("generators: " + ", ".join(names))
     lines.append("I relations:")
-    lines += (
-        f"  alpha_{s} alpha_{t} - {prefix(ws)}alpha_{tgt}"
-        for s, t, tgt, ws in _display_pairs(d)
-    )
+    lines += _pair_lines(d, heads, mids, prefix, names)
     lines.append("J relations:")
     lines += (f"  {prefix(fixed_weights(d, s))}alpha_{s}" for s in range(d.ell))
     lines.append("unit relation: alpha_0 - 1")

@@ -441,15 +441,22 @@ def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
     once per divisor class of (b_k, ell).  A coordinate whose logw row
     equals the oracle's residues passes its ell*(ell+3)/2 pair and unit
     checks at once; any other is walked pair by pair to name each failure,
-    and an exponent outside {0,1} ends the walk.  Returns the number of
-    checks and any failure descriptions.
+    and an exponent outside {0,1} ends the walk.  A missing or extra row,
+    or one not ell long, is a failure line, not an error; its coordinate
+    counts no checks.  Returns the number of checks and any failure
+    descriptions.
     """
     failures: list[str] = []
+    if len(d.logw) != len(d.b):
+        failures.append(f"{len(d.logw)} logweight rows for {len(d.b)} weights")
     checks = 0
-    for k in range(len(d.b)):
-        r = [d.b[k] * s % d.ell for s in range(d.ell)]
-        if list(d.logw[k]) == r:
+    for k, (w, row) in enumerate(zip(d.b, d.logw)):
+        r = [w * s % d.ell for s in range(d.ell)]
+        if list(row) == r:
             checks += d.ell * (d.ell + 3) // 2
+            continue
+        if len(row) != d.ell:
+            failures.append(f"logweight row {k} has {len(row)} entries, not {d.ell}")
             continue
         try:
             for s in range(d.ell):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, repeat
 from math import lcm
 
 from .laurent import LaurentPoly, euler_class
@@ -90,13 +91,22 @@ def carry_keys(d: WpsData, sectors) -> tuple[list[int], int, tuple[int, ...]]:
     return keys, bias, tops
 
 
-def sector_pairs(d: WpsData, first: int):
-    """(s, t, target, obstructed weights) for first <= s <= t < ell, by rows.
+def sector_rows(d: WpsData, first: int, render=None, names=None):
+    """The pair table a row at a time: (s, classes, targets) for each
+    first <= s < ell, over the pairs s <= t < ell in order of t.
 
-    A pair's class, its obstructed coordinates, is read off its carry key;
-    each of the at most 2^(n+1) classes decodes its weight tuple once and
-    shares it with its pairs, so callers can render each class once, keyed
-    by that tuple.  ValueError unless logw[k][s] == b_k*s mod ell throughout.
+    classes yields render(ws), ws the pair's obstructed weights (ws itself
+    by default), and targets is names[(s + t) % ell] (the sector by
+    default), a slice of one doubled list.  classes is C-level maps over
+    the carry_keys list: one add and one AND per pair give its class key,
+    which a dict looks up; its __missing__ decodes and renders each of the
+    at most 2^(n+1) classes once per call.  So a caller builds a row with
+    map and str.join, with no Python frame per pair.  ValueError unless
+    logw[k][s] == b_k*s mod ell throughout.
+
+    >>> d = build_wps((1, 2, 4))
+    >>> [(s, list(classes), targets) for s, classes, targets in sector_rows(d, 2)]
+    [(2, [(1,), (1,)], [0, 1]), (3, [(1, 2)], [2])]
     """
     ell = d.ell
     residues = ([w * s % ell for s in range(ell)] for w in d.b)
@@ -104,15 +114,27 @@ def sector_pairs(d: WpsData, first: int):
         raise ValueError(f"logweights are not b_k*s mod {ell}, one row per weight")
     keys, bias, tops = carry_keys(d, range(ell))
     high = sum(tops)
-    classes: dict[int, tuple[int, ...]] = {}
+
+    class Classes(dict):
+        def __missing__(self, key):
+            ws = tuple(w for w, top in zip(d.b, tops) if key & top)
+            value = self[key] = ws if render is None else render(ws)
+            return value
+
+    lookup = Classes().__getitem__
+    doubled = list(range(ell) if names is None else names) * 2
     for s in range(first, ell):
-        left = bias + keys[s]
-        for t, kt in enumerate(keys[s:], s):
-            key = left + kt & high
-            ws = classes.get(key)
-            if ws is None:
-                ws = classes[key] = tuple(w for w, top in zip(d.b, tops) if key & top)
-            yield s, t, (s + t) % ell, ws
+        classes = map(lookup, map(high.__and__, map((bias + keys[s]).__add__, keys[s:])))
+        # (s + t) % ell for t = s..ell-1 is 2s..s+ell-1 in the doubled list
+        yield s, classes, doubled[2 * s : s + ell]
+
+
+def sector_pairs(d: WpsData, first: int):
+    """(s, t, target, obstructed weights) for first <= s <= t < ell: the
+    rows of sector_rows, flattened.  All pairs of a class share one weight
+    tuple, so callers can key per-class work on it."""
+    for s, classes, targets in sector_rows(d, first):
+        yield from zip(repeat(s), count(s), targets, classes)
 
 
 def obstruction_set(d: WpsData, s: int, t: int) -> tuple[int, ...]:

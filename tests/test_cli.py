@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import json
 import math
@@ -8,7 +9,9 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +31,15 @@ from korb.ring import (
     star_multiply,
     torsion_report,
 )
-from korb.sectors import build_wps, kernel_generator, structure_coefficient
+from korb.sectors import (
+    WpsData,
+    build_wps,
+    euler_product,
+    fixed_weights,
+    kernel_generator,
+    sector_pairs,
+    structure_coefficient,
+)
 
 
 def run(*args):
@@ -502,6 +513,129 @@ class TestPairTablesAgainstReference:
         assert reference_render((1, 2, 4), "table", False) == TABLE_124
         assert reference_render((1, 2, 4), "table", True) == LATEX_TABLE_124
         assert reference_render((1, 2, 4), "present", False) == PRESENT_124
+
+
+def per_pair_render(d, command, fmt):
+    """table/present as one f-string per pair over sector_pairs, the way
+    the renderers wrote them before they built a row at a time."""
+    cli = korb.cli
+    if fmt == "json":
+        coeff = functools.cache(lambda ws: json.dumps(str(euler_product(ws))))
+        rows = ",\n".join(
+            f'    {{\n      "s": {s},\n      "t": {t},\n      "target": {tgt},\n'
+            f'      "coeff": {coeff(ws)}\n    }}'
+            for s, t, tgt, ws in sector_pairs(d, 0)
+        )
+        head = {"kind": "table" if command == "table" else "presentation",
+                "weights": list(d.b), "ell": d.ell}
+        fields = [cli._json_field(k, v) for k, v in head.items()]
+        fields.append(f'  "tableI": [\n{rows}\n  ]')
+        if command == "present":
+            rows_j = [{"s": s, "gen": str(kernel_generator(d, s))} for s in range(d.ell)]
+            fields.append(cli._json_field("tableJ", rows_j))
+            fields.append(cli._json_field("unit", "alpha_0 - 1"))
+        return "{\n" + ",\n".join(fields) + "\n}\n"
+    prefix = cli._prefixes(fmt == "latex")
+    pairs = list(sector_pairs(d, 1 if d.ell > 1 else 0))
+    alphas = [cli._alpha(s, fmt == "latex") for s in range(d.ell)]
+    if command == "table" and fmt == "latex":
+        rows = []
+        for s, t, tgt, ws in pairs:
+            if t == s:
+                rows.append([alphas[s]] + [""] * len(rows))
+            rows[-1].append(prefix(ws) + alphas[tgt])
+        lines = [" & " + " & ".join(row[0] for row in rows) + " \\\\ \\hline \\hline"]
+        lines += [" & ".join(row) + " \\\\ \\hline" for row in rows]
+        cols = "c||" + "|".join("c" * len(rows)) + "|"
+        body = "\n".join(lines)
+        return f"\\begin{{array}}{{{cols}}}\n{body}\n\\end{{array}}\n"
+    if command == "table":
+        lines = cli._header_lines(d)
+        lines += (f"alpha_{s} * alpha_{t} = {prefix(ws)}alpha_{tgt}" for s, t, tgt, ws in pairs)
+    elif fmt == "latex":
+        lines = ["\\begin{align*}"]
+        lines += (
+            f"{alphas[s]} {alphas[t]} &= {prefix(ws)}{alphas[tgt]} \\\\"
+            for s, t, tgt, ws in pairs
+        )
+        for s in range(d.ell):
+            prod = cli._factors(fixed_weights(d, s), True)
+            lines.append(prod + "\\," + alphas[s] + " &= 0 \\\\")
+        lines += ["\\alpha_0 &= 1", "\\end{align*}"]
+    else:
+        lines = cli._header_lines(d)
+        lines.append("generators: " + ", ".join(alphas))
+        lines.append("I relations:")
+        lines += (f"  alpha_{s} alpha_{t} - {prefix(ws)}alpha_{tgt}" for s, t, tgt, ws in pairs)
+        lines.append("J relations:")
+        lines += (f"  {prefix(fixed_weights(d, s))}alpha_{s}" for s in range(d.ell))
+        lines.append("unit relation: alpha_0 - 1")
+    return "\n".join(lines) + "\n"
+
+
+class TestRowRenderersMatchPerPairRenderers:
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    @pytest.mark.parametrize("command", ["table", "present"])
+    @pytest.mark.parametrize(
+        "weights", ["1", "2,3", "1,2,4", "1,1,1,3,5", "6,10,15", "3,4,5", "5,7,8"]
+    )
+    def test_same_bytes(self, weights, command, fmt):
+        code, out, err = run(command, weights, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == per_pair_render(build_wps(map(int, weights.split(","))), command, fmt)
+
+
+class TestTableMemory:
+    def test_text_table_8_9_11_is_joined_a_row_at_a_time(self):
+        # the output is 14 MiB; one string per pair line peaked at 42-45 MiB
+        # under tracemalloc (CPython 3.10-3.13), one string per row at 28 MiB
+        d = build_wps((8, 9, 11))
+        args = argparse.Namespace(format="text")
+        tracemalloc.start()
+        try:
+            out = korb.cli.cmd_table(d, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.count("\n") == 2 + 791 * 792 // 2 - 1
+        assert peak < 35 * 2**20
+
+
+# (a, ell) with 0 <= a < ell
+RESIDUES = st.integers(1, 10**6).flatmap(
+    lambda ell: st.tuples(st.integers(0, ell - 1), st.just(ell))
+)
+
+
+def fraction_reference(a, ell, latex):
+    f = Fraction(a, ell)
+    if latex and f.denominator != 1:
+        return f"\\frac{{{f.numerator}}}{{{f.denominator}}}"
+    return str(f)
+
+
+class TestLowestTerms:
+    """_zeta and _logw reduce a/ell by gcd; Fraction gives the same text."""
+
+    @given(RESIDUES, st.booleans())
+    def test_logw_matches_fraction(self, a_ell, latex):
+        a, ell = a_ell
+        d = WpsData((1,), ell, ((a,),))
+        assert korb.cli._logw(d, 0, 0, latex) == fraction_reference(a, ell, latex)
+
+    @given(RESIDUES, st.booleans())
+    def test_zeta_matches_fraction(self, s_ell, latex):
+        s, ell = s_ell
+        f = Fraction(s, ell)
+        p, q = f.numerator, f.denominator
+        named = {(0, 1): "1", (1, 2): "-1", (1, 4): "i", (3, 4): "-i"}
+        if (p, q) in named:
+            expected = named[p, q]
+        elif latex:
+            expected = f"e^{{2\\pi i\\,{p}/{q}}}"
+        else:
+            expected = f"e^(2*pi*i*{p}/{q})"
+        assert korb.cli._zeta(s, ell, latex) == expected
 
 
 class TestFactorsRenderedOncePerClass:

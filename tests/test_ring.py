@@ -793,6 +793,23 @@ class TestVerify:
             "unit law fails: e_0(0,1) != 0",
         )
 
+    @pytest.mark.parametrize(
+        "logw, failure",
+        [
+            (((0, 1),), "1 logweight rows for 2 weights"),
+            (((0, 1), (0, 0), (0, 0)), "3 logweight rows for 2 weights"),
+            (((0, 1), (0,)), "logweight row 1 has 1 entries, not 2"),
+        ],
+        ids=["missing-row", "extra-row", "short-row"],
+    )
+    def test_misshapen_logweights_are_failure_lines(self, logw, failure):
+        d = WpsData((1, 2), 2, logw)
+        checks, failures = check_exponents(d)
+        assert failures == (failure,)
+        rep = verify(d, trials=1)
+        assert not rep.passed
+        assert rep.failures == (failure,)
+
     def test_total_rank_oracle(self, monkeypatch, d124):
         # dropping coordinate 0 takes 1 - u^-1 out of sector 0's generator,
         # the one sector that fixes it, so that sector gets rank 6, not 7
