@@ -17,6 +17,7 @@ import re
 import sys
 from itertools import repeat
 from math import gcd
+from operator import floordiv
 
 from .laurent import LaurentPoly, parse_laurent
 from .ring import (
@@ -37,6 +38,7 @@ from .sectors import (
     fixed_set,
     fixed_weights,
     kernel_generator,
+    sector_classes,
     sector_rows,
 )
 
@@ -58,31 +60,29 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _weights_str(d: WpsData) -> str:
-    return ",".join(str(w) for w in d.b)
-
-
 # Rendering atoms.  Each takes latex=True for LaTeX and gives the text
 # form otherwise; JSON fields use the text form.
 
 
-def _lowest_terms(a: int, ell: int) -> tuple[int, int]:
-    """a/ell as (numerator, denominator) in lowest terms, ell >= 1."""
-    g = gcd(a, ell)
-    return a // g, ell // g
+def _lowest_terms(nums, ell: int, form: str, named: dict) -> list[str]:
+    """For each a in the sequence nums, 0 <= a < ell: named[a] if given,
+    else form.format(p, q) with a/ell = p/q in lowest terms."""
+    gs = list(map(gcd, nums, repeat(ell)))
+    fracs = map(form.format, map(floordiv, nums, gs), map(floordiv, repeat(ell), gs))
+    return list(map(named.get, nums, fracs))
 
 
-def _zeta(s: int, ell: int, latex: bool) -> str:
-    p, q = _lowest_terms(s, ell)
-    if p == 0:
-        return "1"
-    if (p, q) == (1, 2):
-        return "-1"
-    if (p, q) == (1, 4):
-        return "i"
-    if (p, q) == (3, 4):
-        return "-i"
-    return f"e^{{2\\pi i\\,{p}/{q}}}" if latex else f"e^(2*pi*i*{p}/{q})"
+def _zetas(nums, ell: int, latex: bool) -> list[str]:
+    """The roots of unity e^(2 pi i s/ell), s in nums; 1, -1, i, -i by name."""
+    names = ((0, 1, "1"), (1, 2, "-1"), (1, 4, "i"), (3, 4, "-i"))
+    named = {p * ell // q: z for p, q, z in names if ell % q == 0}
+    form = "e^{{2\\pi i\\,{}/{}}}" if latex else "e^(2*pi*i*{}/{})"
+    return _lowest_terms(nums, ell, form, named)
+
+
+def _fractions(nums, ell: int, latex: bool) -> list[str]:
+    """The logweights a/ell, a in nums."""
+    return _lowest_terms(nums, ell, "\\frac{{{}}}{{{}}}" if latex else "{}/{}", {0: "0"})
 
 
 def _fixed(ws: tuple[int, ...], n: int, latex: bool) -> str:
@@ -94,13 +94,6 @@ def _fixed(ws: tuple[int, ...], n: int, latex: bool) -> str:
     if latex:
         return " \\oplus ".join(f"\\mathbb{{C}}_{{({w})}}" for w in ws)
     return " + ".join(f"C_({w})" for w in ws)
-
-
-def _logw(d: WpsData, k: int, s: int, latex: bool) -> str:
-    p, q = _lowest_terms(d.logw[k][s], d.ell)
-    if q == 1:
-        return str(p)
-    return f"\\frac{{{p}}}{{{q}}}" if latex else f"{p}/{q}"
 
 
 def _factors(ws: tuple[int, ...], latex: bool) -> str:
@@ -115,8 +108,10 @@ def _sub(base: str, idx: int) -> str:
     return f"{base}_{idx}" if 0 <= idx <= 9 else f"{base}_{{{idx}}}"
 
 
-def _alpha(s: int, latex: bool) -> str:
-    return _sub("\\alpha", s) if latex else f"alpha_{s}"
+def _subs(base: str, ell: int) -> list[str]:
+    """_sub(base, s) for every sector s."""
+    small = map((base + "_{}").format, range(min(ell, 10)))
+    return [*small, *map((base + "_{{{}}}").format, range(10, ell))]
 
 
 def _prefixes(latex: bool):
@@ -133,94 +128,123 @@ def _concat(*columns):
     return map("".join, zip(*columns))
 
 
+def _by_class(d: WpsData, cell):
+    """cell(g) for each sector in turn, g = gcd(s, ell) % ell its class.
+    What the fixed set decides is made once per class."""
+    classes = sector_classes(d)
+    cells = {g: cell(g) for g in set(classes)}
+    return map(cells.__getitem__, classes)
+
+
+def _by_ring(rings, cell):
+    """cell(r) for each sector's ring r in turn, made once per ring object.
+    Keyed by identity: hashing a SectorRing rehashes its generator."""
+    cells = {i: cell(r) for i, r in dict(zip(map(id, rings), rings)).items()}
+    return map(cells.__getitem__, map(id, rings))
+
+
 def _poly_latex(p: LaurentPoly) -> str:
     return re.sub(r"\^(-?\d+)", r"^{\1}", str(p).replace(" ", ""))
 
 
 def _header_lines(d: WpsData) -> list[str]:
-    return [f"weights: {_weights_str(d)}", f"ell: {d.ell}"]
+    return [f"weights: {','.join(map(str, d.b))}", f"ell: {d.ell}"]
 
 
-def _json_field(key: str, v) -> str:
-    return f"  {json.dumps(key)}: " + json.dumps(v, indent=2).replace("\n", "\n  ")
+def _json_doc(kind: str, d: WpsData, **fields) -> str:
+    """json.dumps(doc, indent=2) of {kind, weights, ell, **fields}.
 
-
-def _json_doc(kind: str, d: WpsData, table: bool = False, **extra) -> str:
-    """json.dumps(doc, indent=2) of {kind, weights, ell, tableI, **extra}.
-
-    tableI, written only for table=True, has one entry per pair s <= t in
-    one fixed template, built a table row at a time; each class's
-    coefficient is dumped once.  Rows and fields are joined once, by the
-    ",\n" that separates both.
+    Every list field is given as the laid-out text of its items: strings
+    of one or more items, each indented by four spaces, joined by ",\\n".
+    So a list of ell or ell^2/2 objects is built from row templates, with
+    no dict per object.  Fields and rows are joined once, by the ",\\n"
+    that separates both.  Every other field is a scalar.
     """
-    head = {"kind": kind, "weights": list(d.b), "ell": d.ell}
-    fields = [_json_field(k, v) for k, v in head.items()]
-    if table:
-        heads = [f'    {{\n      "s": {s},\n      "t": ' for s in range(d.ell)]
-        mids = [f'{t},\n      "target": ' for t in range(d.ell)]
-        names = [f'{tgt},\n      "coeff": ' for tgt in range(d.ell)]
-        coeff = lambda ws: json.dumps(str(euler_product(ws))) + "\n    }"
-        rows = [
-            ",\n".join(_concat(repeat(heads[s]), mids[s:], targets, coeffs))
-            for s, coeffs, targets in sector_rows(d, 0, coeff, names)
-        ]
-        rows[0] = '  "tableI": [\n' + rows[0]
-        rows[-1] += "\n  ]"
-        fields += rows
-    fields += [_json_field(k, v) for k, v in extra.items()]
-    fields[0] = "{\n" + fields[0]
-    fields[-1] += "\n}"
-    return ",\n".join(fields)
+    doc = {"kind": kind, "weights": [f"    {w}" for w in d.b], "ell": d.ell, **fields}
+    out: list[str] = []
+    for key, v in doc.items():
+        name = f"  {json.dumps(key)}: "
+        if not isinstance(v, list):
+            out.append(name + json.dumps(v))
+        elif not v:
+            out.append(name + "[]")
+        else:
+            out += v
+            out[-len(v)] = name + "[\n" + v[0]
+            out[-1] += "\n  ]"
+    out[0] = "{\n" + out[0]
+    out[-1] += "\n}"
+    return ",\n".join(out)
+
+
+def _json_members(**members) -> str:
+    """The text ',\\n      "key": value' of members of an object in a list
+    field, laid out at that depth as json.dumps(indent=2) does."""
+    return "".join(
+        f",\n      {json.dumps(k)}: " + json.dumps(v, indent=2).replace("\n", "\n      ")
+        for k, v in members.items()
+    )
+
+
+def _json_rows(sectors, *columns) -> list[str]:
+    """The laid-out objects {"s": s, ...} of a list field, one per sector s,
+    the rest of each from the columns' strings."""
+    head = repeat('    {\n      "s": ')
+    return list(_concat(head, map(str, sectors), *columns, repeat("\n    }")))
+
+
+def _table_rows(d: WpsData) -> list[str]:
+    """tableI, one string per row s: its pairs s <= t in one fixed
+    template, each class's coefficient dumped once."""
+    heads = [f'    {{\n      "s": {s},\n      "t": ' for s in range(d.ell)]
+    mids = [f'{t},\n      "target": ' for t in range(d.ell)]
+    names = [f'{tgt},\n      "coeff": ' for tgt in range(d.ell)]
+    coeff = lambda ws: json.dumps(str(euler_product(ws))) + "\n    }"
+    return [
+        ",\n".join(_concat(repeat(heads[s]), mids[s:], targets, coeffs))
+        for s, coeffs, targets in sector_rows(d, 0, coeff, names)
+    ]
 
 
 def cmd_chart(d: WpsData, args: argparse.Namespace) -> str:
-    fmt = args.format
-    n = len(d.b)
+    fmt, n, sectors = args.format, len(d.b), range(d.ell)
+    latex = fmt == "latex"
+    zetas = _zetas(sectors, d.ell, latex)
+    # a logweight b_k*s mod ell over ell is one of ell residues
+    fracs = _fractions(sectors, d.ell, latex)
+    logws = [map(fracs.__getitem__, row) for row in d.logw]
     if fmt == "json":
-        sectors = [
-            {
-                "s": s,
-                "zeta": _zeta(s, d.ell, False),
-                "fixed": list(fixed_set(d, s)),
-                "logweights": [_logw(d, k, s, False) for k in range(n)],
-                "generator": f"alpha_{s}",
-            }
-            for s in range(d.ell)
-        ]
-        return _json_doc("chart", d, sectors=sectors)
-    if fmt == "latex":
+        # the text forms of zetas and logweights need no JSON escapes
+        rows = _json_rows(
+            sectors,
+            repeat(',\n      "zeta": "'), zetas, repeat('"'),
+            _by_class(d, lambda g: _json_members(fixed=list(fixed_set(d, g)))),
+            repeat(',\n      "logweights": [\n        "'),
+            map('",\n        "'.join, zip(*logws)),
+            repeat('"\n      ],\n      "generator": "alpha_'),
+            map(str, sectors), repeat('"'),
+        )
+        return _json_doc("chart", d, sectors=rows)
+    loci = _by_class(d, lambda g: _fixed(fixed_weights(d, g), n, latex))
+    if latex:
         cols = "c||" + "|".join("c" * d.ell) + "|"
         rows = [
-            "s & " + " & ".join(str(s) for s in range(d.ell)) + " \\\\ \\hline \\hline",
-            "\\zeta_s & "
-            + " & ".join(_zeta(s, d.ell, True) for s in range(d.ell))
-            + " \\\\ \\hline",
-            "\\text{fixed locus} & "
-            + " & ".join(_fixed(fixed_weights(d, s), n, True) for s in range(d.ell))
-            + " \\\\ \\hline",
+            "s & " + " & ".join(map(str, sectors)) + " \\\\ \\hline \\hline",
+            "\\zeta_s & " + " & ".join(zetas) + " \\\\ \\hline",
+            "\\text{fixed locus} & " + " & ".join(loci) + " \\\\ \\hline",
         ]
-        for k in range(n):
-            rows.append(
-                _sub("a", k) + "(\\zeta_s) & "
-                + " & ".join(_logw(d, k, s, True) for s in range(d.ell))
-                + " \\\\ \\hline"
-            )
-        rows.append(
-            "\\text{generator} & "
-            + " & ".join(_alpha(s, True) for s in range(d.ell))
-            + " \\\\ \\hline"
-        )
+        for k, row in enumerate(logws):
+            rows.append(_sub("a", k) + "(\\zeta_s) & " + " & ".join(row) + " \\\\ \\hline")
+        alphas = " & ".join(_subs("\\alpha", d.ell))
+        rows.append("\\text{generator} & " + alphas + " \\\\ \\hline")
         body = "\n".join(rows)
         return f"\\begin{{array}}{{{cols}}}\n{body}\n\\end{{array}}"
-    lines = _header_lines(d)
-    for s in range(d.ell):
-        logw = ", ".join(_logw(d, k, s, False) for k in range(n))
-        lines.append(
-            f"sector {s}: zeta = {_zeta(s, d.ell, False)}, "
-            f"fixed = {_fixed(fixed_weights(d, s), n, False)}, "
-            f"logweights = ({logw}), generator = alpha_{s}"
-        )
-    return "\n".join(lines)
+    lines = _concat(
+        repeat("sector "), map(str, sectors), repeat(": zeta = "), zetas,
+        repeat(", fixed = "), loci, repeat(", logweights = ("),
+        map(", ".join, zip(*logws)), repeat("), generator = alpha_"), map(str, sectors),
+    )
+    return "\n".join([*_header_lines(d), *lines])
 
 
 def _display_rows(d: WpsData, render, names):
@@ -241,10 +265,10 @@ def _pair_lines(d: WpsData, heads, mids, render, names) -> list[str]:
 def cmd_table(d: WpsData, args: argparse.Namespace) -> str:
     fmt = args.format
     if fmt == "json":
-        return _json_doc("table", d, table=True)
+        return _json_doc("table", d, tableI=_table_rows(d))
     prefix = _prefixes(fmt == "latex")
     if fmt == "latex":
-        alphas = [_alpha(s, True) for s in range(d.ell)]
+        alphas = _subs("\\alpha", d.ell)
         # the cells left of the diagonal stay empty
         rows = [
             alphas[s] + " & " * (i + 1) + " & ".join(_concat(classes, targets))
@@ -263,55 +287,45 @@ def cmd_table(d: WpsData, args: argparse.Namespace) -> str:
 
 
 def cmd_kernels(d: WpsData, args: argparse.Namespace) -> str:
-    fmt = args.format
+    fmt, sectors = args.format, range(d.ell)
     rings = build_sector_rings(d)
     if fmt == "json":
-        sectors = [
-            {
-                "s": s,
-                "fixed": list(fixed_set(d, s)),
-                "kernel": str(r.gen),
-                "rank": r.rank,
-            }
-            for s, r in enumerate(rings)
-        ]
-        return _json_doc("kernels", d, sectors=sectors)
-    if fmt == "latex":
-        lines = ["\\begin{align*}"]
-        for s in range(d.ell):
-            prod = _factors(fixed_weights(d, s), True)
-            sep = " \\\\" if s < d.ell - 1 else ""
-            lines.append(
-                "\\ker(" + _sub("\\kappa", s) + ") &= \\langle "
-                + _alpha(s, True) + f" {prod} \\rangle{sep}"
-            )
-        lines.append("\\end{align*}")
-        return "\n".join(lines)
-    lines = _header_lines(d)
-    for s, r in enumerate(rings):
-        prod = _factors(fixed_weights(d, s), False)
-        lines.append(f"s={s}: {prod}  [rank {r.rank}]")
-    return "\n".join(lines)
+        rows = _json_rows(
+            sectors,
+            _by_class(d, lambda g: _json_members(fixed=list(fixed_set(d, g)))),
+            _by_ring(rings, lambda r: _json_members(kernel=str(r.gen), rank=r.rank)),
+        )
+        return _json_doc("kernels", d, sectors=rows)
+    latex = fmt == "latex"
+    prods = _by_class(d, lambda g: _factors(fixed_weights(d, g), latex))
+    if latex:
+        lines = _concat(
+            repeat("\\ker("), _subs("\\kappa", d.ell), repeat(") &= \\langle "),
+            _subs("\\alpha", d.ell), repeat(" "), prods, repeat(" \\rangle"),
+        )
+        return "\\begin{align*}\n" + " \\\\\n".join(lines) + "\n\\end{align*}"
+    ranks = _by_ring(rings, lambda r: f"  [rank {r.rank}]")
+    lines = _concat(repeat("s="), map(str, sectors), repeat(": "), prods, ranks)
+    return "\n".join([*_header_lines(d), *lines])
 
 
 def cmd_present(d: WpsData, args: argparse.Namespace) -> str:
     fmt = args.format
     if fmt == "json":
-        rows_j = [{"s": s, "gen": str(kernel_generator(d, s))} for s in range(d.ell)]
+        gens = _by_class(d, lambda g: _json_members(gen=str(kernel_generator(d, g))))
         return _json_doc(
-            "presentation", d, table=True, tableJ=rows_j,
-            unit="alpha_0 - 1",
+            "presentation", d, tableI=_table_rows(d),
+            tableJ=_json_rows(range(d.ell), gens), unit="alpha_0 - 1",
         )
     prefix = _prefixes(fmt == "latex")
     if fmt == "latex":
-        alphas = [_alpha(s, True) for s in range(d.ell)]
+        alphas = _subs("\\alpha", d.ell)
         heads = [f"{a} " for a in alphas]
         mids = [f"{a} &= " for a in alphas]
         ends = [f"{a} \\\\" for a in alphas]
         lines = ["\\begin{align*}"] + _pair_lines(d, heads, mids, prefix, ends)
-        for s in range(d.ell):
-            prod = _factors(fixed_weights(d, s), True)
-            lines.append(prod + "\\," + alphas[s] + " &= 0 \\\\")
+        prods = _by_class(d, lambda g: _factors(fixed_weights(d, g), True) + "\\,")
+        lines += _concat(prods, alphas, repeat(" &= 0 \\\\"))
         lines.append("\\alpha_0 &= 1")
         lines.append("\\end{align*}")
         return "\n".join(lines)
@@ -323,7 +337,7 @@ def cmd_present(d: WpsData, args: argparse.Namespace) -> str:
     lines.append("I relations:")
     lines += _pair_lines(d, heads, mids, prefix, names)
     lines.append("J relations:")
-    lines += (f"  {prefix(fixed_weights(d, s))}alpha_{s}" for s in range(d.ell))
+    lines += _concat(_by_class(d, lambda g: "  " + prefix(fixed_weights(d, g))), names)
     lines.append("unit relation: alpha_0 - 1")
     return "\n".join(lines)
 
@@ -333,7 +347,8 @@ def cmd_rank(d: WpsData, args: argparse.Namespace) -> str:
     rings = build_sector_rings(d)
     total = total_rank(rings)
     if fmt == "json":
-        return _json_doc("rank", d, ranks=[r.rank for r in rings], total=total)
+        ranks = list(_by_ring(rings, lambda r: f"    {r.rank}"))
+        return _json_doc("rank", d, ranks=ranks, total=total)
     if fmt == "latex":
         return f"\\operatorname{{rank}} = {total}"
     return str(total)
@@ -344,30 +359,22 @@ def cmd_torsion(d: WpsData, args: argparse.Namespace) -> str:
     rings = build_sector_rings(d)
     status = "PASS" if torsion_report(rings).passed else "FAIL"
     if fmt == "json":
-        sectors = [
-            {
-                "s": s,
-                "rank": r.rank,
-                "monic": r.gmonic.monic,
-                "constant": r.gmonic.constant,
-                "free": r.free,
-            }
-            for s, r in enumerate(rings)
-        ]
-        return _json_doc("torsion", d, sectors=sectors, status=status)
+        cells = _by_ring(rings, lambda r: _json_members(
+            rank=r.rank, monic=r.gmonic.monic, constant=r.gmonic.constant, free=r.free,
+        ))
+        rows = _json_rows(range(d.ell), cells)
+        return _json_doc("torsion", d, sectors=rows, status=status)
     if fmt == "latex":
-        ranks = ", ".join(str(r.rank) for r in rings)
+        ranks = ", ".join(_by_ring(rings, lambda r: str(r.rank)))
         return f"\\text{{torsion-free: {status} (ranks {ranks})}}"
-    lines = _header_lines(d)
-    for s, r in enumerate(rings):
+
+    def cell(r):
         kind = "monic" if r.gmonic.monic else "not monic"
         verdict = "free" if r.free else "torsion risk"
-        lines.append(
-            f"s={s}: rank {r.rank}, {kind}, "
-            f"constant term {r.gmonic.constant}: {verdict}"
-        )
-    lines.append(f"torsion-free: {status}")
-    return "\n".join(lines)
+        return f": rank {r.rank}, {kind}, constant term {r.gmonic.constant}: {verdict}"
+
+    lines = _concat(repeat("s="), map(str, range(d.ell)), _by_ring(rings, cell))
+    return "\n".join([*_header_lines(d), *lines, f"torsion-free: {status}"])
 
 
 def cmd_verify(d: WpsData, args: argparse.Namespace) -> tuple[str, int]:
@@ -387,7 +394,7 @@ def cmd_verify(d: WpsData, args: argparse.Namespace) -> tuple[str, int]:
             seed=rep.seed,
             exponent_checks=rep.exponent_checks,
             status="PASS" if rep.passed else "FAIL",
-            failures=list(rep.failures),
+            failures=[f"    {json.dumps(f)}" for f in rep.failures],
         )
     elif fmt == "latex":
         body = f"\\text{{{summary}}}"
@@ -443,7 +450,9 @@ def cmd_mul(d: WpsData, args: argparse.Namespace) -> str:
     prod = star_multiply(rings, d, x, y)
     nonzero = [(s, c) for s, c in enumerate(prod.comps) if not c.is_zero]
     if fmt == "json":
-        comps = [{"s": s, "residue": str(c)} for s, c in nonzero]
+        comps = _json_rows(
+            [s for s, _ in nonzero], (_json_members(residue=str(c)) for _, c in nonzero)
+        )
         return _json_doc("mul", d, lhs=lhs, rhs=rhs, components=comps)
     if fmt == "latex":
         if not nonzero:
@@ -451,9 +460,9 @@ def cmd_mul(d: WpsData, args: argparse.Namespace) -> str:
         parts = []
         for s, c in nonzero:
             if c == 1:
-                parts.append(_alpha(s, True))
+                parts.append(_sub("\\alpha", s))
             else:
-                parts.append(f"({_poly_latex(c)})\\," + _alpha(s, True))
+                parts.append(f"({_poly_latex(c)})\\," + _sub("\\alpha", s))
         return " + ".join(parts)
     if not nonzero:
         return "0"

@@ -22,6 +22,7 @@ from .sectors import (
     euler_product,
     kernel_generator,
     obstruction_exponent,
+    sector_classes,
     sector_pairs,
     structure_coefficient,
 )
@@ -116,13 +117,13 @@ def build_sector_rings(d: WpsData) -> tuple[SectorRing, ...]:
     >>> rings[1] is rings[3], rings[1] is rings[2]
     (True, False)
     """
-    classes = [gcd(s, d.ell) % d.ell for s in range(d.ell)]
+    classes = sector_classes(d)
     rings = {}
     for g in set(classes):
         gen = kernel_generator(d, g)
         gm = normalize(gen)
         rings[g] = SectorRing(gen, gm, gm.degree)
-    return tuple(rings[g] for g in classes)
+    return tuple(map(rings.__getitem__, classes))
 
 
 def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
@@ -277,13 +278,14 @@ def star_multiply(
     c(s, t) is the Euler product over the coordinates k whose carry
     [r_k(s) + r_k(t) >= ell] is 1, so a vector of n+1 weights has at most
     2^(n+1) of them, one per obstruction class, read off the pair's carry
-    key (sectors.carry_keys): one add and one AND per pair, trusting logw
-    to hold b_k*s mod ell, as build_wps makes it.  The first pair of each
-    class asks structure_coefficient for c, which is packed once at its
-    own lowest exponent.  The pair products are summed per (target, class)
-    as ints; each group sum is multiplied by its packed c and unpacked
-    once, and the groups of a target are added and reduced once (reduce is
-    Z-linear and its residue unique, so this equals reducing every term).
+    key (sectors.carry_keys, which checks logw against b_k*s mod ell in
+    the operands' sectors): one add and one AND per pair.  The first pair
+    of each class asks structure_coefficient for c, which is packed once at
+    its own lowest exponent.  The pair products are summed per (target,
+    class) as ints; each group sum is multiplied by its packed c and
+    unpacked once, and the groups of a target are added and reduced once
+    (reduce is Z-linear and its residue unique, so this equals reducing
+    every term).
 
     The digit width w is exact for any operands.  A digit of one pair
     product sums at most min(span_x, span_y) coefficient products, where a
@@ -314,8 +316,8 @@ def star_multiply(
     lo_y, span_y, top_y = _extent(ys)
     bound = min(len(xs), len(ys)) * min(span_x, span_y) * top_x * top_y << nb
     w = bound.bit_length() + 1
-    keys_x, bias, tops = carry_keys(d, (s for s, _ in xs))
-    keys_y = carry_keys(d, (t for t, _ in ys))[0]
+    keys, bias, tops = carry_keys(d, [s for s, _ in xs + ys])
+    keys_x, keys_y = keys[: len(xs)], keys[len(xs) :]
     high = sum(tops)
     packed_y = [(t, kt, _pack(p, lo_y, w)) for (t, p), kt in zip(ys, keys_y)]
     # class key -> (lowest exponent, packed c, span of c)

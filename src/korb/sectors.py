@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, repeat
-from math import lcm
+from math import gcd, lcm
+from operator import lshift
 
 from .laurent import LaurentPoly, euler_class
 
@@ -48,6 +49,13 @@ def check_sector(d: WpsData, s: int) -> None:
         raise ValueError(f"sector index {s} out of range [0, {d.ell})")
 
 
+def sector_classes(d: WpsData) -> list[int]:
+    """The class key gcd(s, ell) % ell of each sector s, in order.  The
+    fixed set, and so the kernel generator and rank, of s depend on s only
+    through it: one class per divisor of ell."""
+    return [0, *map(gcd, range(1, d.ell), repeat(d.ell))]
+
+
 def fixed_set(d: WpsData, s: int) -> tuple[int, ...]:
     """Coordinates k fixed by sector s, i.e. those with b_k * s = 0 mod ell."""
     check_sector(d, s)
@@ -75,8 +83,9 @@ def carry_keys(d: WpsData, sectors) -> tuple[list[int], int, tuple[int, ...]]:
     keys[i] packs r_k(s) = logw[k][s], s the i-th given sector, in field k
     of f = bits of ell + 1 bits.  With the bias 2^(f-1) - ell per field,
     field k of bias + key_s + key_t reaches its top bit tops[k] exactly when
-    e_k(s, t) = [r_k(s) + r_k(t) >= ell] is 1, and never overflows.  Trusts
-    logw to hold b_k*s mod ell.
+    e_k(s, t) = [r_k(s) + r_k(t) >= ell] is 1, and never overflows.
+    ValueError unless logw has one ell-long row per weight and each given
+    sector's column holds b_k*s mod ell.
 
     >>> d = build_wps((1, 2, 4))
     >>> keys, bias, tops = carry_keys(d, range(d.ell))
@@ -84,10 +93,19 @@ def carry_keys(d: WpsData, sectors) -> tuple[list[int], int, tuple[int, ...]]:
     >>> [k for k, top in enumerate(tops) if key & top]
     [0, 1]
     """
-    f = d.ell.bit_length() + 1
-    tops = tuple(1 << f * k + f - 1 for k in range(len(d.b)))
-    bias = sum(top - (d.ell << f * k) for k, top in enumerate(tops))
-    keys = [sum(row[s] << f * k for k, row in enumerate(d.logw)) for s in sectors]
+    ell, b, logw = d.ell, d.b, d.logw
+    if len(logw) != len(b) or set(map(len, logw)) != {ell}:
+        raise ValueError(f"logweights are not b_k*s mod {ell}, one row per weight")
+    f = ell.bit_length() + 1
+    shifts = range(0, f * len(b), f)
+    tops = tuple(map((1 << f - 1).__lshift__, shifts))
+    bias = sum(tops) - sum(map(ell.__lshift__, shifts))
+    keys = []
+    for s in sectors:
+        column = [row[s] for row in logw]
+        if column != [w * s % ell for w in b]:
+            raise ValueError(f"logweights are not b_k*s mod {ell}, one row per weight")
+        keys.append(sum(map(lshift, column, shifts)))
     return keys, bias, tops
 
 
@@ -102,16 +120,13 @@ def sector_rows(d: WpsData, first: int, render=None, names=None):
     which a dict looks up; its __missing__ decodes and renders each of the
     at most 2^(n+1) classes once per call.  So a caller builds a row with
     map and str.join, with no Python frame per pair.  ValueError unless
-    logw[k][s] == b_k*s mod ell throughout.
+    logw[k][s] == b_k*s mod ell throughout (carry_keys checks it).
 
     >>> d = build_wps((1, 2, 4))
     >>> [(s, list(classes), targets) for s, classes, targets in sector_rows(d, 2)]
     [(2, [(1,), (1,)], [0, 1]), (3, [(1, 2)], [2])]
     """
     ell = d.ell
-    residues = ([w * s % ell for s in range(ell)] for w in d.b)
-    if len(d.logw) != len(d.b) or any(list(r) != rs for r, rs in zip(d.logw, residues)):
-        raise ValueError(f"logweights are not b_k*s mod {ell}, one row per weight")
     keys, bias, tops = carry_keys(d, range(ell))
     high = sum(tops)
 

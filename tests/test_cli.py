@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -32,9 +33,9 @@ from korb.ring import (
     torsion_report,
 )
 from korb.sectors import (
-    WpsData,
     build_wps,
     euler_product,
+    fixed_set,
     fixed_weights,
     kernel_generator,
     sector_pairs,
@@ -515,6 +516,10 @@ class TestPairTablesAgainstReference:
         assert reference_render((1, 2, 4), "present", False) == PRESENT_124
 
 
+def json_field(key, v):
+    return f"  {json.dumps(key)}: " + json.dumps(v, indent=2).replace("\n", "\n  ")
+
+
 def per_pair_render(d, command, fmt):
     """table/present as one f-string per pair over sector_pairs, the way
     the renderers wrote them before they built a row at a time."""
@@ -528,16 +533,17 @@ def per_pair_render(d, command, fmt):
         )
         head = {"kind": "table" if command == "table" else "presentation",
                 "weights": list(d.b), "ell": d.ell}
-        fields = [cli._json_field(k, v) for k, v in head.items()]
+        fields = [json_field(k, v) for k, v in head.items()]
         fields.append(f'  "tableI": [\n{rows}\n  ]')
         if command == "present":
             rows_j = [{"s": s, "gen": str(kernel_generator(d, s))} for s in range(d.ell)]
-            fields.append(cli._json_field("tableJ", rows_j))
-            fields.append(cli._json_field("unit", "alpha_0 - 1"))
+            fields.append(json_field("tableJ", rows_j))
+            fields.append(json_field("unit", "alpha_0 - 1"))
         return "{\n" + ",\n".join(fields) + "\n}\n"
     prefix = cli._prefixes(fmt == "latex")
     pairs = list(sector_pairs(d, 1 if d.ell > 1 else 0))
-    alphas = [cli._alpha(s, fmt == "latex") for s in range(d.ell)]
+    latex = fmt == "latex"
+    alphas = [cli._sub("\\alpha", s) if latex else f"alpha_{s}" for s in range(d.ell)]
     if command == "table" and fmt == "latex":
         rows = []
         for s, t, tgt, ws in pairs:
@@ -585,6 +591,178 @@ class TestRowRenderersMatchPerPairRenderers:
         assert out == per_pair_render(build_wps(map(int, weights.split(","))), command, fmt)
 
 
+def per_sector_render(d, command, fmt):
+    """chart/kernels/torsion/rank one sector at a time, the way the
+    renderers wrote them before they built rows from per-class cells: one
+    fixed set, logweight and ring lookup per sector, JSON through the
+    stdlib encoder.  Rings come from korb.cli.build_sector_rings, so a
+    test that substitutes rings sees them here too."""
+    n, ell, latex = len(d.b), d.ell, fmt == "latex"
+    sub = lambda base, i: f"{base}_{i}" if 0 <= i <= 9 else f"{base}_{{{i}}}"
+
+    def lowest(a):
+        g = math.gcd(a, ell)
+        return a // g, ell // g
+
+    def zeta(s):
+        p, q = lowest(s)
+        named = {(0, 1): "1", (1, 2): "-1", (1, 4): "i", (3, 4): "-i"}
+        if (p, q) in named:
+            return named[p, q]
+        return f"e^{{2\\pi i\\,{p}/{q}}}" if latex else f"e^(2*pi*i*{p}/{q})"
+
+    def logw(k, s):
+        p, q = lowest(d.logw[k][s])
+        if q == 1:
+            return str(p)
+        return f"\\frac{{{p}}}{{{q}}}" if latex else f"{p}/{q}"
+
+    def fixed(ws):
+        if len(ws) == n:
+            return f"\\mathbb{{C}}^{{{n}}}" if latex else f"C^{n}"
+        if not ws:
+            return "0"
+        if latex:
+            return " \\oplus ".join(f"\\mathbb{{C}}_{{({w})}}" for w in ws)
+        return " + ".join(f"C_({w})" for w in ws)
+
+    def factors(ws):
+        form = "(1-u^{{-{}}})" if latex else "(1-u^-{})"
+        return "".join(map(form.format, ws)) or "1"
+
+    def doc(kind, **extra):
+        fields = {"kind": kind, "weights": list(d.b), "ell": ell, **extra}
+        return json.dumps(fields, indent=2) + "\n"
+
+    head = [f"weights: {','.join(map(str, d.b))}", f"ell: {ell}"]
+    if command == "chart":
+        if fmt == "json":
+            return doc("chart", sectors=[
+                {"s": s, "zeta": zeta(s), "fixed": list(fixed_set(d, s)),
+                 "logweights": [logw(k, s) for k in range(n)], "generator": f"alpha_{s}"}
+                for s in range(ell)
+            ])
+        if latex:
+            rows = [
+                "s & " + " & ".join(str(s) for s in range(ell)) + " \\\\ \\hline \\hline",
+                "\\zeta_s & " + " & ".join(zeta(s) for s in range(ell)) + " \\\\ \\hline",
+                "\\text{fixed locus} & "
+                + " & ".join(fixed(fixed_weights(d, s)) for s in range(ell)) + " \\\\ \\hline",
+            ]
+            for k in range(n):
+                cells = " & ".join(logw(k, s) for s in range(ell))
+                rows.append(sub("a", k) + "(\\zeta_s) & " + cells + " \\\\ \\hline")
+            alphas = " & ".join(sub("\\alpha", s) for s in range(ell))
+            rows.append("\\text{generator} & " + alphas + " \\\\ \\hline")
+            cols = "c||" + "|".join("c" * ell) + "|"
+            return f"\\begin{{array}}{{{cols}}}\n" + "\n".join(rows) + "\n\\end{array}\n"
+        lines = head + [
+            f"sector {s}: zeta = {zeta(s)}, fixed = {fixed(fixed_weights(d, s))}, "
+            f"logweights = ({', '.join(logw(k, s) for k in range(n))}), generator = alpha_{s}"
+            for s in range(ell)
+        ]
+        return "\n".join(lines) + "\n"
+    rings = korb.cli.build_sector_rings(d)
+    if command == "kernels":
+        if fmt == "json":
+            return doc("kernels", sectors=[
+                {"s": s, "fixed": list(fixed_set(d, s)), "kernel": str(r.gen), "rank": r.rank}
+                for s, r in enumerate(rings)
+            ])
+        if latex:
+            lines = [
+                "\\ker(" + sub("\\kappa", s) + ") &= \\langle " + sub("\\alpha", s)
+                + f" {factors(fixed_weights(d, s))} \\rangle" + (" \\\\" if s < ell - 1 else "")
+                for s in range(ell)
+            ]
+            return "\\begin{align*}\n" + "\n".join(lines) + "\n\\end{align*}\n"
+        lines = head + [
+            f"s={s}: {factors(fixed_weights(d, s))}  [rank {r.rank}]"
+            for s, r in enumerate(rings)
+        ]
+        return "\n".join(lines) + "\n"
+    if command == "rank":
+        total = sum(r.rank for r in rings)
+        if fmt == "json":
+            return doc("rank", ranks=[r.rank for r in rings], total=total)
+        return (f"\\operatorname{{rank}} = {total}" if latex else str(total)) + "\n"
+    status = "PASS" if all(r.free for r in rings) else "FAIL"
+    if fmt == "json":
+        return doc("torsion", sectors=[
+            {"s": s, "rank": r.rank, "monic": r.gmonic.monic,
+             "constant": r.gmonic.constant, "free": r.free}
+            for s, r in enumerate(rings)
+        ], status=status)
+    if latex:
+        ranks = ", ".join(str(r.rank) for r in rings)
+        return f"\\text{{torsion-free: {status} (ranks {ranks})}}\n"
+    lines = head + [
+        f"s={s}: rank {r.rank}, {'monic' if r.gmonic.monic else 'not monic'}, "
+        f"constant term {r.gmonic.constant}: {'free' if r.free else 'torsion risk'}"
+        for s, r in enumerate(rings)
+    ]
+    return "\n".join(lines + [f"torsion-free: {status}"]) + "\n"
+
+
+CLASS_VECTORS = ["1", "2,3", "1,2,4", "4,6", "1,1,1,3,5", "6,10,15", "3,4,5", "5,7,8"]
+
+
+class TestClassRenderersMatchPerSectorRenderers:
+    """chart, kernels, torsion, rank and present's J relations are built
+    from per-class, per-ring and per-residue cells; they must give the
+    bytes of the per-sector renderers.  Several vectors have sectors that
+    fix nothing ("fixed": [])."""
+
+    def check(self, weights, command, fmt):
+        code, out, err = run(command, weights, "--format", fmt)
+        assert (code, err) == (0, "")
+        d = build_wps(map(int, weights.split(",")))
+        if command == "present":
+            assert out == per_pair_render(d, command, fmt)
+        else:
+            assert out == per_sector_render(d, command, fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    @pytest.mark.parametrize("command", ["chart", "kernels", "torsion", "rank", "present"])
+    @pytest.mark.parametrize("weights", CLASS_VECTORS)
+    def test_same_bytes(self, weights, command, fmt):
+        self.check(weights, command, fmt)
+
+    def test_some_sector_fixes_nothing(self):
+        _, out, _ = run("chart", "2,3", "--format", "json")
+        assert '"fixed": [],' in out
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    @pytest.mark.parametrize("command", ["kernels", "torsion", "rank"])
+    def test_same_bytes_with_substituted_rings(self, monkeypatch, command, fmt):
+        # the rings are keyed by object, not by class: sectors 1 and 3 of
+        # 1,2,4 share a class but get different rings here
+        monkeypatch.setattr(
+            korb.cli, "build_sector_rings", TestTorsionFailurePath.patched_rings
+        )
+        self.check("1,2,4", command, fmt)
+        assert "torsion risk" in per_sector_render(build_wps((1, 2, 4)), "torsion", "text")
+
+
+class TestOneFixedSetPerClass:
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    @pytest.mark.parametrize("command", ["chart", "kernels"])
+    def test_at_most_one_call_per_divisor_class(self, monkeypatch, command, fmt):
+        d = build_wps((8, 9, 11))
+        calls = []
+        real = korb.sectors.fixed_set
+        counting = lambda d, s: calls.append(s) or real(d, s)
+        monkeypatch.setattr(korb.sectors, "fixed_set", counting)
+        monkeypatch.setattr(korb.cli, "fixed_set", counting)
+        build_sector_rings(d)
+        own = len(calls) if command == "kernels" else 0
+        calls.clear()
+        code, out, err = run(command, "8,9,11", "--format", fmt)
+        assert (code, err) == (0, "")
+        # 792 = 2^3 * 3^2 * 11 has 24 divisors; one call per sector is 792
+        assert len(calls) - own <= 24
+
+
 class TestTableMemory:
     def test_text_table_8_9_11_is_joined_a_row_at_a_time(self):
         # the output is 14 MiB; one string per pair line peaked at 42-45 MiB
@@ -615,13 +793,12 @@ def fraction_reference(a, ell, latex):
 
 
 class TestLowestTerms:
-    """_zeta and _logw reduce a/ell by gcd; Fraction gives the same text."""
+    """_zetas and _fractions reduce a/ell by gcd; Fraction gives the same text."""
 
     @given(RESIDUES, st.booleans())
     def test_logw_matches_fraction(self, a_ell, latex):
         a, ell = a_ell
-        d = WpsData((1,), ell, ((a,),))
-        assert korb.cli._logw(d, 0, 0, latex) == fraction_reference(a, ell, latex)
+        assert korb.cli._fractions([a], ell, latex) == [fraction_reference(a, ell, latex)]
 
     @given(RESIDUES, st.booleans())
     def test_zeta_matches_fraction(self, s_ell, latex):
@@ -635,7 +812,7 @@ class TestLowestTerms:
             expected = f"e^{{2\\pi i\\,{p}/{q}}}"
         else:
             expected = f"e^(2*pi*i*{p}/{q})"
-        assert korb.cli._zeta(s, ell, latex) == expected
+        assert korb.cli._zetas([s], ell, latex) == [expected]
 
 
 class TestFactorsRenderedOncePerClass:
@@ -754,13 +931,15 @@ class TestTorsionFailurePath:
     NOT_MONIC = SectorRing(LaurentPoly({0: 1, 1: 2}), MonicPoly((1, 2), 0, False), 1)
     CONSTANT_2 = SectorRing(LaurentPoly({0: 2, 1: 1}), MonicPoly((2, 1), 0, True), 1)
 
+    @staticmethod
+    def patched_rings(d):
+        rings = build_sector_rings(d)
+        bad = (TestTorsionFailurePath.NOT_MONIC, TestTorsionFailurePath.CONSTANT_2)
+        return rings[:1] + bad + rings[3:]
+
     @pytest.fixture(autouse=True)
     def bad_rings(self, monkeypatch):
-        def patched(d):
-            rings = build_sector_rings(d)
-            return rings[:1] + (self.NOT_MONIC, self.CONSTANT_2) + rings[3:]
-
-        monkeypatch.setattr(korb.cli, "build_sector_rings", patched)
+        monkeypatch.setattr(korb.cli, "build_sector_rings", self.patched_rings)
 
     def test_report_fails_and_neither_ring_is_free(self):
         rings = korb.cli.build_sector_rings(build_wps((1, 2, 4)))
@@ -990,6 +1169,33 @@ class TestSubprocess:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith("\\text{torsion-free: PASS (ranks 2022, 0, ")
+
+    def test_large_ell_torsion_json_under_memory_cap(self, tmp_path):
+        # 1,022,117 sector objects, about 130 MB of JSON: one dict per
+        # sector through the stdlib encoder peaked at 1.3 GB
+        out = tmp_path / "torsion.json"
+        with open(out, "wb") as stdout:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "korb.cli", "torsion", "1009,1013", "--format", "json"],
+                stdout=stdout,
+                stderr=subprocess.DEVNULL,
+                preexec_fn=cap_address_space,
+            )
+            deadline = time.monotonic() + 60
+            while not (waited := os.wait4(proc.pid, os.WNOHANG))[0]:
+                if time.monotonic() > deadline:
+                    proc.kill()
+                    proc.wait()
+                    pytest.fail("torsion 1009,1013 --format json ran past 60 s")
+                time.sleep(0.05)
+        _, status, usage = waited
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        with open(out, "rb") as f:
+            f.seek(-2, os.SEEK_END)
+            assert f.read() == b"}\n"
+        # ru_maxrss is in KiB on Linux
+        assert usage.ru_maxrss < 800 * 1024
 
     @pytest.mark.parametrize(
         "argv, lines_read",

@@ -545,6 +545,15 @@ class TestClassKeys:
         x, y = _small_element(d, rng), _small_element(d, rng)
         assert star_multiply(rings, d, x, y) == _per_pair_product(rings, d, x, y)
 
+    def test_logweights_not_residues_raise(self):
+        # logw[0][3] reads 1, not 1*3 mod 4 = 3: the keys come from logw,
+        # so the product must not be formed from it
+        d = WpsData((1, 2, 4), 4, ((0, 1, 2, 1), (0, 2, 0, 2), (0, 0, 0, 0)))
+        rings = build_sector_rings(d)
+        x = KOrbElement(d.b, (parse_laurent("1 + 2u"),) * 4)
+        with pytest.raises(ValueError, match="logweights are not"):
+            star_multiply(rings, d, x, x)
+
 
 @pytest.fixture
 def coefficient_calls(monkeypatch):
