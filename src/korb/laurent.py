@@ -49,6 +49,15 @@ class LaurentPoly:
         self._terms = clean
 
     @classmethod
+    def _of(cls, terms: dict[int, int]) -> "LaurentPoly":
+        """Wrap terms with no copy and no filter.  The caller built the dict
+        for this polynomial alone and stored no zero coefficient in it: a
+        zero would break equality and hashing."""
+        p = cls.__new__(cls)
+        p._terms = terms
+        return p
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
@@ -89,7 +98,7 @@ class LaurentPoly:
         """Multiply by u^k."""
         if k == 0:
             return self
-        return LaurentPoly({e + k: c for e, c in self._terms.items()})
+        return LaurentPoly._of({e + k: c for e, c in self._terms.items()})
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -108,15 +117,19 @@ class LaurentPoly:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._of({e: -c for e, c in self._terms.items()})
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly.const(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._of(out)
 
     __radd__ = __add__
 
@@ -175,12 +188,15 @@ def _pack(p: LaurentPoly, lo: int, w: int) -> int:
     >>> _pack(LaurentPoly({-1: 3, 1: -2}), -1, 4)
     -509
     """
-    return sum(c << w * (e - lo) for e, c in p.terms.items())
+    terms = p.terms
+    shifts = map(w.__mul__, map((-lo).__add__, terms))
+    return sum(map(int.__lshift__, terms.values(), shifts))
 
 
 def _unpack(v: int, lo: int, w: int, n: int) -> LaurentPoly:
     """Inverse of _pack for v with at most n digits, each of absolute
-    value below 2^(w-1): digit k becomes the coefficient of u^(lo + k).
+    value below 2^(w-1): digit k becomes the coefficient of u^(lo + k),
+    and zero digits are left out.
 
     Adding 2^(w-1) to every digit makes all of them lie in [0, 2^w), so
     each is read off with a shift and a mask.
@@ -191,7 +207,9 @@ def _unpack(v: int, lo: int, w: int, n: int) -> LaurentPoly:
     half = 1 << (w - 1)
     mask = (1 << w) - 1
     v += ((1 << w * n) - 1) // mask * half
-    return LaurentPoly({lo + k: (v >> w * k & mask) - half for k in range(n)})
+    return LaurentPoly._of(
+        {lo + k: c for k in range(n) if (c := (v >> w * k & mask) - half)}
+    )
 
 
 def _term_str(c: int, e: int) -> str:
@@ -309,7 +327,7 @@ def divmod_monic(x: LaurentPoly, g: MonicPoly) -> tuple[LaurentPoly, LaurentPoly
             for j, gj in lower:
                 rem[e - d + j] -= c * gj
     r = {e: c for e, c in enumerate(rem[:d]) if c}
-    return LaurentPoly(q), LaurentPoly(r)
+    return LaurentPoly._of(q), LaurentPoly._of(r)
 
 
 def parse_laurent(text: str) -> LaurentPoly:

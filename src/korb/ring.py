@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .laurent import LaurentPoly, MonicPoly, _pack, _unpack, divmod_monic, normalize
@@ -231,7 +232,7 @@ def _reduce_run(g: MonicPoly, x: LaurentPoly) -> LaurentPoly:
                 for j, gj in g.lower_terms:
                     buf[i + j] -= c * gj
                 buf[i + d] -= c * lead
-        x = LaurentPoly(dict(enumerate(buf[-lo:])))
+        x = LaurentPoly._of({e: c for e, c in enumerate(buf[-lo:]) if c})
     return divmod_monic(x, g)[1]
 
 
@@ -351,9 +352,9 @@ def star_multiply(
 def _extent(comps: list[tuple[int, LaurentPoly]]) -> tuple[int, int, int]:
     """Lowest exponent, span of exponents and largest absolute coefficient
     over the nonzero components of one operand."""
-    lo = min(p.min_exp for _, p in comps)
-    hi = max(p.max_exp for _, p in comps)
-    top = max(abs(c) for _, p in comps for c in p.terms.values())
+    terms = [p.terms for _, p in comps]
+    lo, hi = min(map(min, terms)), max(map(max, terms))
+    top = max(map(abs, chain.from_iterable(map(dict.values, terms))))
     return lo, hi - lo + 1, top
 
 
@@ -393,24 +394,44 @@ def _cocycle_check(rows: list[int]) -> tuple[int, tuple[int, int, int] | None]:
     """Exhaustive check of e(s,t) + e([s+t],w) = e(s,[t+w]) + e(t,w) over
     (Z_m)^3, m = len(rows), where bit t of rows[s] is e(s,t) in {0,1}.
 
-    For 0/1 values a + b = c + d exactly when a^b = c^d and a&b = c&d, so
-    one test per (s, t) covers every w at once: bit w of rows[s] rotated
-    right by t is e(s,[t+w]).  Returns the number of triples checked in
-    (s, t, w) order, up to and including the first failing one, and that
-    triple.
+    For 0/1 values a + b = c + d exactly when a^b = c^d and a&b = c&d.  The
+    check is bit-sliced: row s fills the m-bit field s of one m^2-bit int,
+    and one test per t covers every (s, w), field s holding at bit w
+    e(s,t) (broadcast), e([s+t],w) (the fields rotated down by t),
+    e(s,[t+w]) (each field rotated right by t bits) and e(t,w) (rows[t]
+    copied to every field by doubling shifts).  So the cost is m steps on
+    m^2-bit ints, not m^2 steps on m-bit ints.  A failing t's lowest set
+    bit is its least (s, w), and the least (s, t) over all t is the first
+    failure.  Returns the number of triples checked in (s, t, w) order, up
+    to and including the first failing one, and that triple.
     """
     m = len(rows)
-    full = (1 << m) - 1
+    size = m * m
+    full = (1 << size) - 1
+    ones = full // ((1 << m) - 1)  # bit 0 of every field
+    packed = 0
     for s, row_s in enumerate(rows):
-        for t, row_t in enumerate(rows):
-            a = full if row_s >> t & 1 else 0
-            b = rows[(s + t) % m]
-            c = (row_s >> t | row_s << (m - t)) & full
-            bad = (a ^ b ^ c ^ row_t) | ((a & b) ^ (c & row_t))
-            if bad:
-                w = (bad & -bad).bit_length() - 1
-                return (s * m + t) * m + w + 1, (s, t, w)
-    return m**3, None
+        packed |= row_s << s * m
+    doubled = packed | packed << size
+    first = m, 0, -1  # one past the last triple: m^3 checked
+    for t, row_t in enumerate(rows):
+        a = packed >> t & ones
+        a = (a << m) - a
+        b = doubled >> t * m & full
+        lo = (ones << m - t) - ones  # the low m - t bits of every field
+        c = packed >> t & lo | packed << m - t & (full ^ lo)
+        d, k = row_t, 1
+        while k < m:
+            d |= d << k * m
+            k *= 2
+        d &= full
+        bad = (a ^ b ^ c ^ d) | ((a & b) ^ (c & d))
+        if bad:
+            s, w = divmod((bad & -bad).bit_length() - 1, m)
+            if s < first[0]:
+                first = s, t, w
+    s, t, w = first
+    return (s * m + t) * m + w + 1, first if s < m else None
 
 
 def _cocycle_rows(m: int) -> list[int]:

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -8,11 +9,15 @@ from korb.laurent import (
     LaurentPoly,
     MonicPoly,
     ParseError,
+    _pack,
+    _unpack,
     divmod_monic,
     euler_class,
     normalize,
     parse_laurent,
 )
+import korb.ring
+from korb.ring import _reduce_run
 from korb.sectors import euler_product
 
 
@@ -278,6 +283,66 @@ class TestSparseDivision:
         q, r = divmod_monic(x, g)
         assert q * g.as_laurent() + r == x
         assert r.is_zero or (r.min_exp >= 0 and r.max_exp < g.degree)
+
+
+def assert_canonical(p):
+    assert 0 not in p.terms.values()
+    q = LaurentPoly(dict(p.terms))
+    assert p == q and hash(p) == hash(q)
+
+
+polys = st.dictionaries(st.integers(-8, 8), st.integers(-3, 3), max_size=8).map(LaurentPoly)
+
+
+class TestCanonicalForm:
+    """Results built without the constructor's filter (LaurentPoly._of)
+    store no zero coefficient, so they compare and hash as canonical."""
+
+    @given(p=polys, q=polys, k=st.integers(-5, 5))
+    def test_arithmetic(self, p, q, k):
+        # p - p and (p + q) - p cancel every term of p
+        for r in (-p, p.shifted(k), p + q, q - p, p - p, (p + q) - p):
+            assert_canonical(r)
+        assert (p - p).terms == {} and hash(p - p) == hash(0)
+        assert (p + q) - p == q
+
+    @given(p=polys, q=polys)
+    def test_unpack(self, p, q):
+        if not p or not q:
+            return
+        lo = min(p.min_exp, q.min_exp)
+        n = max(p.max_exp, q.max_exp) - lo + 1
+        for v, want in ((_pack(p, lo, 8) - _pack(q, lo, 8), p - q), (0, 0)):
+            r = _unpack(v, lo, 8, n)
+            assert_canonical(r)
+            assert r == want
+
+    @given(
+        p=polys,
+        ws=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        k=st.integers(0, 12),
+    )
+    def test_division(self, p, ws, k):
+        g = normalize(euler_product(tuple(ws)))
+        x = p.shifted(8 + k)  # an ordinary polynomial
+        q, r = divmod_monic(x, g)
+        assert_canonical(q)
+        assert_canonical(r)
+        assert q * g.as_laurent() + r == x
+        # x - r is a multiple of g, and u^-1 is a unit: the bottom pass
+        # over negative exponents cancels every term.  Its result is never
+        # returned, only divided, so the spy checks what it hands on.
+        seen = []
+
+        def spy(dividend, divisor):
+            seen.append(dividend)
+            return divmod_monic(dividend, divisor)
+
+        with mock.patch.object(korb.ring, "divmod_monic", spy):
+            assert_canonical(_reduce_run(g, p))
+            assert _reduce_run(g, (x - r).shifted(-8 - k)) == 0
+        for y in seen:
+            assert_canonical(y)
 
 
 class TestMonicPolyValidation:

@@ -911,6 +911,60 @@ class TestCocycleKernel:
             assert self.triple_loop(carry) == (m**3, None)
         assert failing > 100
 
+    def test_matches_triple_loop_wide_fields(self):
+        # a field wider than one 30-bit CPython digit
+        rng = random.Random(31)
+        for m in (31, 61):
+            carry = [[int(s + t >= m) for t in range(m)] for s in range(m)]
+            tables = [carry]
+            for _ in range(3):
+                tab = [row[:] for row in carry]
+                tab[rng.randrange(m)][rng.randrange(m)] ^= 1
+                tables.append(tab)
+            for tab in tables:
+                rows = [sum(bit << t for t, bit in enumerate(row)) for row in tab]
+                assert korb.ring._cocycle_check(rows) == self.triple_loop(tab), (m, tab)
+
+    @staticmethod
+    def row_loop(rows):
+        """The check one (s, t) at a time, as korb.ring had it before the
+        bit-sliced pass."""
+        m = len(rows)
+        full = (1 << m) - 1
+        for s, row_s in enumerate(rows):
+            for t, row_t in enumerate(rows):
+                a = full if row_s >> t & 1 else 0
+                b = rows[(s + t) % m]
+                c = (row_s >> t | row_s << (m - t)) & full
+                bad = (a ^ b ^ c ^ row_t) | ((a & b) ^ (c & row_t))
+                if bad:
+                    w = (bad & -bad).bit_length() - 1
+                    return (s * m + t) * m + w + 1, (s, t, w)
+        return m**3, None
+
+    @pytest.mark.parametrize("m", [60, 105, 210, 420])
+    def test_matches_row_loop(self, m):
+        rng = random.Random(m)
+        rows = korb.ring._cocycle_rows(m)
+        assert korb.ring._cocycle_check(rows) == self.row_loop(rows) == (m**3, None)
+        failing = 0
+        for _ in range(4):
+            bad = list(rows)
+            bad[rng.randrange(m)] ^= 1 << rng.randrange(m)
+            got = korb.ring._cocycle_check(bad)
+            assert got == self.row_loop(bad), m
+            failing += got[1] is not None
+        assert failing == 4
+
+    def test_least_s_wins_over_least_t(self):
+        # e(3,0) flipped on the carry table of m = 5: (3, 0, 0) fails at
+        # t = 0, but the first failure in (s, t, w) order is (1, 2, 0)
+        rows = [0, 16, 24, 29, 30]
+        tab = [[row >> t & 1 for t in range(5)] for row in rows]
+        assert tab[3][0] + tab[3][0] != tab[3][0] + tab[0][0]
+        assert korb.ring._cocycle_check(rows) == (36, (1, 2, 0))
+        assert self.triple_loop(tab) == (36, (1, 2, 0))
+
 
 def test_doctests():
     import doctest
