@@ -33,12 +33,12 @@ from .ring import (
 from .sectors import (
     WpsData,
     build_wps,
+    by_class,
     check_sector,
     euler_product,
     fixed_set,
     fixed_weights,
     kernel_generator,
-    sector_classes,
     sector_rows,
 )
 
@@ -128,18 +128,13 @@ def _concat(*columns):
     return map("".join, zip(*columns))
 
 
-def _by_class(d: WpsData, cell):
-    """cell(g) for each sector in turn, g = gcd(s, ell) % ell its class.
-    What the fixed set decides is made once per class."""
-    classes = sector_classes(d)
-    cells = {g: cell(g) for g in set(classes)}
-    return map(cells.__getitem__, classes)
-
-
 def _by_ring(rings, cell):
-    """cell(r) for each sector's ring r in turn, made once per ring object.
-    Keyed by identity: hashing a SectorRing rehashes its generator."""
-    cells = {i: cell(r) for i, r in dict(zip(map(id, rings), rings)).items()}
+    """cell(s, r) for each sector's ring r in turn, made once per ring
+    object from one sector s that holds it: sectors that share a ring
+    share a class, and so a fixed set.  Keyed by identity: hashing a
+    SectorRing rehashes its generator."""
+    holders = dict(zip(map(id, rings), range(len(rings))))
+    cells = {i: cell(s, rings[s]) for i, s in holders.items()}
     return map(cells.__getitem__, map(id, rings))
 
 
@@ -218,14 +213,14 @@ def cmd_chart(d: WpsData, args: argparse.Namespace) -> str:
         rows = _json_rows(
             sectors,
             repeat(',\n      "zeta": "'), zetas, repeat('"'),
-            _by_class(d, lambda g: _json_members(fixed=list(fixed_set(d, g)))),
+            by_class(d, lambda g: _json_members(fixed=list(fixed_set(d, g)))),
             repeat(',\n      "logweights": [\n        "'),
             map('",\n        "'.join, zip(*logws)),
             repeat('"\n      ],\n      "generator": "alpha_'),
             map(str, sectors), repeat('"'),
         )
         return _json_doc("chart", d, sectors=rows)
-    loci = _by_class(d, lambda g: _fixed(fixed_weights(d, g), n, latex))
+    loci = by_class(d, lambda g: _fixed(fixed_weights(d, g), n, latex))
     if latex:
         cols = "c||" + "|".join("c" * d.ell) + "|"
         rows = [
@@ -290,29 +285,26 @@ def cmd_kernels(d: WpsData, args: argparse.Namespace) -> str:
     fmt, sectors = args.format, range(d.ell)
     rings = build_sector_rings(d)
     if fmt == "json":
-        rows = _json_rows(
-            sectors,
-            _by_class(d, lambda g: _json_members(fixed=list(fixed_set(d, g)))),
-            _by_ring(rings, lambda r: _json_members(kernel=str(r.gen), rank=r.rank)),
-        )
-        return _json_doc("kernels", d, sectors=rows)
-    latex = fmt == "latex"
-    prods = _by_class(d, lambda g: _factors(fixed_weights(d, g), latex))
-    if latex:
+        cells = _by_ring(rings, lambda s, r: _json_members(
+            fixed=list(fixed_set(d, s)), kernel=str(r.gen), rank=r.rank,
+        ))
+        return _json_doc("kernels", d, sectors=_json_rows(sectors, cells))
+    if fmt == "latex":
+        prods = _by_ring(rings, lambda s, r: _factors(fixed_weights(d, s), True))
         lines = _concat(
             repeat("\\ker("), _subs("\\kappa", d.ell), repeat(") &= \\langle "),
             _subs("\\alpha", d.ell), repeat(" "), prods, repeat(" \\rangle"),
         )
         return "\\begin{align*}\n" + " \\\\\n".join(lines) + "\n\\end{align*}"
-    ranks = _by_ring(rings, lambda r: f"  [rank {r.rank}]")
-    lines = _concat(repeat("s="), map(str, sectors), repeat(": "), prods, ranks)
+    cell = lambda s, r: f": {_factors(fixed_weights(d, s), False)}  [rank {r.rank}]"
+    lines = _concat(repeat("s="), map(str, sectors), _by_ring(rings, cell))
     return "\n".join([*_header_lines(d), *lines])
 
 
 def cmd_present(d: WpsData, args: argparse.Namespace) -> str:
     fmt = args.format
     if fmt == "json":
-        gens = _by_class(d, lambda g: _json_members(gen=str(kernel_generator(d, g))))
+        gens = by_class(d, lambda g: _json_members(gen=str(kernel_generator(d, g))))
         return _json_doc(
             "presentation", d, tableI=_table_rows(d),
             tableJ=_json_rows(range(d.ell), gens), unit="alpha_0 - 1",
@@ -324,7 +316,7 @@ def cmd_present(d: WpsData, args: argparse.Namespace) -> str:
         mids = [f"{a} &= " for a in alphas]
         ends = [f"{a} \\\\" for a in alphas]
         lines = ["\\begin{align*}"] + _pair_lines(d, heads, mids, prefix, ends)
-        prods = _by_class(d, lambda g: _factors(fixed_weights(d, g), True) + "\\,")
+        prods = by_class(d, lambda g: _factors(fixed_weights(d, g), True) + "\\,")
         lines += _concat(prods, alphas, repeat(" &= 0 \\\\"))
         lines.append("\\alpha_0 &= 1")
         lines.append("\\end{align*}")
@@ -337,7 +329,7 @@ def cmd_present(d: WpsData, args: argparse.Namespace) -> str:
     lines.append("I relations:")
     lines += _pair_lines(d, heads, mids, prefix, names)
     lines.append("J relations:")
-    lines += _concat(_by_class(d, lambda g: "  " + prefix(fixed_weights(d, g))), names)
+    lines += _concat(by_class(d, lambda g: "  " + prefix(fixed_weights(d, g))), names)
     lines.append("unit relation: alpha_0 - 1")
     return "\n".join(lines)
 
@@ -347,7 +339,7 @@ def cmd_rank(d: WpsData, args: argparse.Namespace) -> str:
     rings = build_sector_rings(d)
     total = total_rank(rings)
     if fmt == "json":
-        ranks = list(_by_ring(rings, lambda r: f"    {r.rank}"))
+        ranks = list(_by_ring(rings, lambda s, r: f"    {r.rank}"))
         return _json_doc("rank", d, ranks=ranks, total=total)
     if fmt == "latex":
         return f"\\operatorname{{rank}} = {total}"
@@ -359,16 +351,16 @@ def cmd_torsion(d: WpsData, args: argparse.Namespace) -> str:
     rings = build_sector_rings(d)
     status = "PASS" if torsion_report(rings).passed else "FAIL"
     if fmt == "json":
-        cells = _by_ring(rings, lambda r: _json_members(
+        cells = _by_ring(rings, lambda s, r: _json_members(
             rank=r.rank, monic=r.gmonic.monic, constant=r.gmonic.constant, free=r.free,
         ))
         rows = _json_rows(range(d.ell), cells)
         return _json_doc("torsion", d, sectors=rows, status=status)
     if fmt == "latex":
-        ranks = ", ".join(_by_ring(rings, lambda r: str(r.rank)))
+        ranks = ", ".join(_by_ring(rings, lambda s, r: str(r.rank)))
         return f"\\text{{torsion-free: {status} (ranks {ranks})}}"
 
-    def cell(r):
+    def cell(s, r):
         kind = "monic" if r.gmonic.monic else "not monic"
         verdict = "free" if r.free else "torsion risk"
         return f": rank {r.rank}, {kind}, constant term {r.gmonic.constant}: {verdict}"

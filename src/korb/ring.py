@@ -18,12 +18,12 @@ from math import gcd
 from .laurent import LaurentPoly, MonicPoly, _pack, _unpack, divmod_monic, normalize
 from .sectors import (
     WpsData,
+    by_class,
     carry_keys,
     check_sector,
     euler_product,
     kernel_generator,
     obstruction_exponent,
-    sector_classes,
     sector_pairs,
     structure_coefficient,
 )
@@ -118,13 +118,13 @@ def build_sector_rings(d: WpsData) -> tuple[SectorRing, ...]:
     >>> rings[1] is rings[3], rings[1] is rings[2]
     (True, False)
     """
-    classes = sector_classes(d)
-    rings = {}
-    for g in set(classes):
+
+    def ring(g: int) -> SectorRing:
         gen = kernel_generator(d, g)
         gm = normalize(gen)
-        rings[g] = SectorRing(gen, gm, gm.degree)
-    return tuple(map(rings.__getitem__, classes))
+        return SectorRing(gen, gm, gm.degree)
+
+    return tuple(by_class(d, ring))
 
 
 def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
@@ -377,7 +377,7 @@ def generator_table(d: WpsData) -> tuple[tuple[int, int, int, LaurentPoly], ...]
 
 
 def presentation(d: WpsData) -> Presentation:
-    rel_j = tuple((s, kernel_generator(d, s)) for s in range(d.ell))
+    rel_j = tuple(zip(range(d.ell), by_class(d, lambda g: kernel_generator(d, g))))
     return Presentation(d.b, d.ell, generator_table(d), rel_j)
 
 
@@ -493,12 +493,7 @@ def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
                     failures.append(f"unit law fails: e_{k}(0,{s}) != 0")
         except ValueError as exc:
             failures.append(str(exc))
-    seen: set[int] = set()
-    for k in range(len(d.b)):
-        g = gcd(d.b[k], d.ell)
-        if g in seen:
-            continue
-        seen.add(g)
+    for g in dict.fromkeys(gcd(w, d.ell) for w in d.b):
         # The exponent table of b_k depends only on s mod m = ell/g, up to the
         # unit reindexing s -> (b_k/g)*s, so one pass over the residues g*s,
         # s < m, covers every triple in (Z_ell)^3 for every weight in the class.

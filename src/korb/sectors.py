@@ -49,11 +49,18 @@ def check_sector(d: WpsData, s: int) -> None:
         raise ValueError(f"sector index {s} out of range [0, {d.ell})")
 
 
-def sector_classes(d: WpsData) -> list[int]:
-    """The class key gcd(s, ell) % ell of each sector s, in order.  The
-    fixed set, and so the kernel generator and rank, of s depend on s only
-    through it: one class per divisor of ell."""
-    return [0, *map(gcd, range(1, d.ell), repeat(d.ell))]
+def by_class(d: WpsData, make):
+    """make(g) for each sector s in turn, g = gcd(s, ell) % ell its class,
+    made once per class and shared by the class's sectors.  The fixed set,
+    and so the kernel generator and rank, of s depend on s only through g:
+    one class per divisor of ell.
+
+    >>> list(by_class(build_wps((1, 2, 4)), lambda g: g))
+    [0, 1, 2, 1]
+    """
+    classes = [0, *map(gcd, range(1, d.ell), repeat(d.ell))]
+    made = {g: make(g) for g in set(classes)}
+    return map(made.__getitem__, classes)
 
 
 def fixed_set(d: WpsData, s: int) -> tuple[int, ...]:

@@ -763,6 +763,19 @@ class TestOneFixedSetPerClass:
         assert len(calls) - own <= 24
 
 
+class TestOneClassWalk:
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    @pytest.mark.parametrize("command", ["kernels", "torsion", "rank"])
+    def test_each_sector_class_read_once(self, monkeypatch, command, fmt):
+        # a sector's class is gcd(s, ell) % ell; sector 0's needs no gcd
+        calls = []
+        counting = lambda a, b: calls.append(a) or math.gcd(a, b)
+        monkeypatch.setattr(korb.sectors, "gcd", counting)
+        code, out, err = run(command, "8,9,11", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert sorted(calls) == list(range(1, 792))
+
+
 class TestTableMemory:
     def test_text_table_8_9_11_is_joined_a_row_at_a_time(self):
         # the output is 14 MiB; one string per pair line peaked at 42-45 MiB
@@ -971,6 +984,35 @@ class TestTorsionFailurePath:
         assert run("torsion", "1,2,4", "--format", "latex") == (
             0, "\\text{torsion-free: FAIL (ranks 7, 1, 1, 4)}\n", ""
         )
+
+
+class TestKernelsWithSubstitutedRings:
+    """kernels renders each sector from its own ring: substituted rings
+    show in their sectors, next to those sectors' fixed sets."""
+
+    @pytest.fixture(autouse=True)
+    def bad_rings(self, monkeypatch):
+        monkeypatch.setattr(
+            korb.cli, "build_sector_rings", TestTorsionFailurePath.patched_rings
+        )
+
+    def test_text(self):
+        code, out, err = run("kernels", "1,2,4")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[3:] == [
+            "s=1: (1-u^-4)  [rank 1]",
+            "s=2: (1-u^-2)(1-u^-4)  [rank 1]",
+            "s=3: (1-u^-4)  [rank 4]",
+        ]
+
+    def test_json(self):
+        code, out, err = run("kernels", "1,2,4", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["sectors"][1:] == [
+            {"s": 1, "fixed": [2], "kernel": "2u + 1", "rank": 1},
+            {"s": 2, "fixed": [1, 2], "kernel": "u + 2", "rank": 1},
+            {"s": 3, "fixed": [2], "kernel": "1 - u^-4", "rank": 4},
+        ]
 
 
 class TestVerifyFailuresReplay:

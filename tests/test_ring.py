@@ -32,7 +32,7 @@ from korb.ring import (
     verify,
     zero_element,
 )
-from korb.sectors import WpsData, build_wps, structure_coefficient
+from korb.sectors import WpsData, build_wps, kernel_generator, structure_coefficient
 
 E1 = euler_class(1)
 E2 = euler_class(2)
@@ -700,6 +700,17 @@ class TestPresentation:
             pres = presentation(build_wps((1,) * (n + 1)))
             assert pres.relations_i == ((0, 0, 0, LaurentPoly.one()),)
             assert pres.relations_j == ((0, E1 ** (n + 1)),)
+
+    def test_j_relations_one_kernel_generator_per_class(self, monkeypatch):
+        d = build_wps((8, 9, 11))
+        calls = []
+        counting = lambda d, s: calls.append(s) or kernel_generator(d, s)
+        monkeypatch.setattr(korb.ring, "kernel_generator", counting)
+        rel_j = presentation(d).relations_j
+        # 792 = 2^3 * 3^2 * 11 has 24 divisors; one call per sector is 792
+        assert len(calls) <= 24
+        assert [s for s, _ in rel_j] == list(range(d.ell))
+        assert all(g == kernel_generator(d, s) for s, g in rel_j)
 
 
 class TestRankAndTorsion:

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from korb.ring import _cocycle_rows, generator_table
 from korb.sectors import (
     WpsData,
     build_wps,
+    by_class,
     euler_product,
     fixed_set,
     fixed_weights,
@@ -256,6 +258,26 @@ class TestKernelGenerator:
             d = build_wps((1,) * (n + 1))
             assert d.ell == 1
             assert kernel_generator(d, 0) == euler_class(1) ** (n + 1)
+
+
+class TestByClass:
+    @pytest.mark.parametrize(
+        "b, classes", [((1, 2, 4), 3), ((8, 9, 11), 24), ((1009, 1013), 4)]
+    )
+    def test_one_make_per_class(self, b, classes):
+        d = build_wps(b)
+        made = {}
+
+        def make(g):
+            assert g not in made
+            made[g] = [g]  # a new object per call
+            return made[g]
+
+        out = list(by_class(d, make))
+        assert len(made) == classes
+        assert sorted(made) == sorted(g % d.ell for g in range(1, d.ell + 1) if d.ell % g == 0)
+        assert len(out) == d.ell
+        assert all(x is made[gcd(s, d.ell) % d.ell] for s, x in enumerate(out))
 
 
 def test_doctests():
