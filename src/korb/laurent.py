@@ -14,6 +14,7 @@ leading coefficient could be scaled to +1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -214,10 +215,17 @@ def _unpack(v: int, lo: int, w: int, n: int) -> LaurentPoly:
 
 def _term_str(c: int, e: int) -> str:
     # c is the absolute coefficient, always >= 1 here
-    if e == 0:
-        return str(c)
-    upart = "u" if e == 1 else f"u^{e}"
-    return upart if c == 1 else f"{c}{upart}"
+    try:
+        if e == 0:
+            return str(c)
+        upart = "u" if e == 1 else f"u^{e}"
+        return upart if c == 1 else f"{c}{upart}"
+    except ValueError:  # str(int) refuses over sys.get_int_max_str_digits() digits
+        digits = max(c, abs(e)).bit_length() * 0.30103
+        raise ValueError(
+            f"an integer of about {digits:.0f} decimal digits is too long to print"
+            f" (the limit is {sys.get_int_max_str_digits()})"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -382,7 +390,11 @@ def _parse_int(text: str, i: int) -> tuple[int, int]:
         j += 1
     if j == i:
         raise ParseError("expected an integer", i)
-    return int(text[i:j]), j
+    try:
+        return int(text[i:j]), j
+    except ValueError:  # int(str) refuses over sys.get_int_max_str_digits() digits
+        limit = f"(the limit is {sys.get_int_max_str_digits()})"
+        raise ParseError(f"an integer of {j - i} digits is too long to read {limit}", i) from None
 
 
 def _parse_term(text: str, i: int) -> tuple[int, int, int]:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from math import gcd
+from math import gcd, inf, lcm
 
 from .laurent import LaurentPoly, MonicPoly, _pack, _unpack, divmod_monic, normalize
 from .sectors import (
@@ -32,17 +33,33 @@ from .sectors import (
 @dataclass(frozen=True)
 class SectorRing:
     """Quotient ring data shared by the sectors s with one gcd(s, ell); rank
-    0 marks a collapsed sector (generator 1, zero ring)."""
+    0 marks a collapsed sector (generator 1, zero ring).  fixed holds the
+    class's fixed weights b_F, whose Euler classes make gen; a ring made
+    without them is reduced by the dense pass alone."""
 
     gen: LaurentPoly
     gmonic: MonicPoly
     rank: int
+    fixed: tuple[int, ...] = ()
 
     @property
     def free(self) -> bool:
         """The quotient is a free Z-module: the generator is monic with
         constant term +-1."""
         return self.gmonic.monic and self.gmonic.constant in (1, -1)
+
+    @cached_property
+    def period(self) -> int:
+        """L = lcm(b_F): each factor u^b_k - 1 of gmonic divides u^L - 1."""
+        return lcm(*self.fixed)
+
+    @cached_property
+    def reach(self) -> float:
+        """The spread of exponents, u^0 included, that reduce takes in one
+        dense pass: m*(L + rank) + 64 with m = |b_F|.  The closed form costs
+        m passes over L + rank exponents plus some 64 dense steps, and the
+        measured crossovers lie at or below this bound."""
+        return len(self.fixed) * (self.period + self.rank) + 64 if self.fixed else inf
 
 
 @dataclass(frozen=True)
@@ -122,7 +139,8 @@ def build_sector_rings(d: WpsData) -> tuple[SectorRing, ...]:
     def ring(g: int) -> SectorRing:
         gen = kernel_generator(d, g)
         gm = normalize(gen)
-        return SectorRing(gen, gm, gm.degree)
+        fixed = tuple(w for w in d.b if w * g % d.ell == 0)
+        return SectorRing(gen, gm, gm.degree, fixed)
 
     return tuple(by_class(d, ring))
 
@@ -130,19 +148,16 @@ def build_sector_rings(d: WpsData) -> tuple[SectorRing, ...]:
 def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
     """Canonical residue of x modulo the sector ideal, degree < rank.
 
-    The exponents of x, sorted from the top, split into runs wherever two
-    neighbours lie more than the jump width apart.  Each run is reduced as
-    one dense polynomial (_reduce_run).  Horner's rule joins the runs from
-    the top: the residue so far crosses each gap as a product with the
-    residue of u^gap, found by square-and-multiply.  The lowest run is
-    reduced where it stands when it lies within the jump width of u^0;
-    otherwise it is reduced from its own lowest exponent e, and the result
-    is multiplied by the residue of u^e at the end.  Crossing n exponents
-    one at a time costs about n times the generator's nonzero terms, a
-    power about 2*rank^2 per bit of n; the jump width is set by the dense
-    cost rank*n (see _jump_width).  So one dense run near u^0, as every
-    target sum of star_multiply on the benchmark ladder is, takes exactly
-    one _reduce_run call, and u^(+-10^9) about 30 squarings.
+    x is reduced in one dense pass (_reduce_run) when its exponents, with
+    0, spread over at most ring.reach, as every target sum of
+    star_multiply is.  Otherwise, with L = lcm(b_F) and m = |b_F| for the
+    fixed weights b_F, N = u^L - 1 is a multiple of every factor of the
+    generator, so N^m = 0 and, for every integer q and C(q, j) =
+    q(q-1)...(q-j+1)/j!, u^(qL + r) = u^r * sum_{j<m} C(q, j) * N^j.
+    Writing x = sum_q u^(qL) P_q with 0 <= deg P_q < L, one pass over the
+    terms builds S_j = sum_q C(q, j) P_q, and Horner's rule joins them,
+    acc = residue(acc * N + S_j) for j = m - 1 down to 0: m dense passes
+    over fewer than L + rank exponents, however far apart the terms lie.
 
     >>> from korb.sectors import build_wps
     >>> rings = build_sector_rings(build_wps((1, 2, 4)))
@@ -158,52 +173,19 @@ def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
     lo, hi = min(terms), max(terms)
     if lo < 0 and g.coeffs[0] not in (1, -1):
         raise ValueError("generator constant term must be +-1")
-    width = _jump_width(ring.rank)
-    if hi - lo <= width and -width <= lo <= width:
-        # one run that stays put: no gap to cross, no shift back
+    if max(hi, 0) - min(lo, 0) <= ring.reach:
         return _reduce_run(g, x)
-    exps = sorted(terms, reverse=True)
-    acc = LaurentPoly.zero()
-    base = start = 0
-    for i, e in enumerate(exps):
-        if i + 1 < len(exps) and e - exps[i + 1] <= width:
-            continue
-        # exps[start:i + 1] is one run; the last one stays put near u^0
-        bottom = 0 if i + 1 == len(exps) and -width <= e <= width else e
-        run = LaurentPoly({f - bottom: terms[f] for f in exps[start : i + 1]})
-        if acc:
-            gap = base - bottom
-            acc = acc.shifted(gap) if gap <= width else acc * _power_of_u(g, gap)
-        acc = _reduce_run(g, acc + run)
-        base, start = bottom, i + 1
-    if base == 0 or not acc:
-        return acc
-    return _reduce_run(g, acc * _power_of_u(g, base))
-
-
-def _jump_width(rank: int) -> int:
-    """The gap n above which square-and-multiply is taken over n unit steps.
-
-    Each of the log2(n) squarings costs a product and its reduction, about
-    2*rank^2 coefficient operations.  Against n dense unit steps, rank*n,
-    the two meet at n = 2*rank*log2(n), which 2*rank*(bits of rank + 3)
-    approximates from above.  A unit step costs only the generator's
-    nonzero terms, about (nonzero terms)*n in all, which for a sparse
-    u^b - 1 is far below rank*n; the width is not refitted to that cost.
-    """
-    return 2 * rank * (rank.bit_length() + 3)
-
-
-def _power_of_u(g: MonicPoly, n: int) -> LaurentPoly:
-    """Residue of u^n modulo g for n != 0, by square-and-multiply on the
-    residue of u (n > 0) or u^-1 (n < 0)."""
-    step = 1 if n > 0 else -1
-    p = _reduce_run(g, LaurentPoly.monomial(step))
-    for bit in bin(abs(n))[3:]:
-        p = _reduce_run(g, p * p)
-        if bit == "1":
-            p = _reduce_run(g, p.shifted(step))
-    return p
+    L = ring.period
+    sums: list[dict[int, int]] = [{} for _ in ring.fixed]
+    for e, c in terms.items():
+        q, r = divmod(e, L)
+        for j, s in enumerate(sums):
+            s[r] = s.get(r, 0) + c
+            c = c * (q - j) // (j + 1)  # x's coefficient times C(q, j + 1)
+    acc, n = LaurentPoly.zero(), LaurentPoly({L: 1, 0: -1})
+    for s in reversed(sums):
+        acc = _reduce_run(g, acc * n + LaurentPoly(s))
+    return acc
 
 
 def _reduce_run(g: MonicPoly, x: LaurentPoly) -> LaurentPoly:

@@ -1190,6 +1190,41 @@ class TestSubprocess:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
 
+    @pytest.mark.parametrize(
+        "poly, stderr",
+        [
+            # u^(10^4200 - 1) reduces at once, to coefficients of about
+            # 8,400 digits, which str() refuses past the int digit limit
+            (
+                "u^" + "9" * 4200,
+                r"error: an integer of about 8\d{3} decimal digits is too long"
+                r" to print \(the limit is 4300\)\n",
+            ),
+            (
+                "u^" + "9" * 4400,
+                r"error: an integer of 4400 digits is too long to read"
+                r" \(the limit is 4300\) \(at position 2\)\n",
+            ),
+            (
+                "3 + " + "9" * 4400 + "u",
+                r"error: an integer of 4400 digits is too long to read"
+                r" \(the limit is 4300\) \(at position 4\)\n",
+            ),
+        ],
+        ids=["residue", "exponent", "coefficient"],
+    )
+    def test_overlong_integers_get_korbs_message(self, poly, stderr):
+        assert sys.get_int_max_str_digits() == 4300
+        proc = subprocess.run(
+            [sys.executable, "-m", "korb.cli", "reduce", "8,9,11", "--sector", "0", "--poly", poly],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            preexec_fn=cap_address_space,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(stderr, proc.stderr), proc.stderr
+
     def test_large_ell_answers_under_memory_cap(self):
         # ell = 1009 * 1013 sectors, which share the rings of ell's 4 divisors
         proc = subprocess.run(

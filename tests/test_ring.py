@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -12,6 +13,7 @@ from korb.laurent import (
     MonicPoly,
     divmod_monic,
     euler_class,
+    normalize,
     parse_laurent,
 )
 from korb.ring import (
@@ -32,7 +34,13 @@ from korb.ring import (
     verify,
     zero_element,
 )
-from korb.sectors import WpsData, build_wps, kernel_generator, structure_coefficient
+from korb.sectors import (
+    WpsData,
+    build_wps,
+    fixed_weights,
+    kernel_generator,
+    structure_coefficient,
+)
 
 E1 = euler_class(1)
 E2 = euler_class(2)
@@ -95,6 +103,19 @@ class TestBuildSectorRings:
             assert r is rings[gcd(s, d.ell) % d.ell]
         classes = {gcd(s, d.ell) for s in range(d.ell)}
         assert len({id(r) for r in rings}) == len(classes)
+
+    @pytest.mark.parametrize("b", [(1, 2, 4), (2, 2, 3), (8, 9, 11)])
+    def test_fixed_weights_per_class(self, b):
+        d = build_wps(b)
+        for s, ring in enumerate(build_sector_rings(d)):
+            assert ring.fixed == fixed_weights(d, s)
+
+    def test_ring_without_class_data_takes_the_dense_pass(self):
+        gm = normalize(E4)
+        ring = SectorRing(E4, gm, 4)
+        assert ring.reach == float("inf")
+        x = LaurentPoly({10**4: 1, -(10**4) - 1: 2})
+        assert reduce(ring, x) == reference_reduce(ring, x) == LaurentPoly({0: 1, 3: 2})
 
     def test_one_fixed_set_per_divisor_of_ell(self, monkeypatch):
         calls = []
@@ -229,7 +250,7 @@ class TestReduceMatchesReference:
     @staticmethod
     def sparse(rng, width):
         """Up to six terms within +-5000, the gaps between neighbours drawn
-        on both sides of the jump width and far beyond it."""
+        on both sides of width and far beyond it."""
         e = rng.randint(-5000, 5000)
         terms = {e: rng.choice((-1, 1)) * rng.randint(1, 9)}
         for _ in range(rng.randint(0, 5)):
@@ -243,7 +264,9 @@ class TestReduceMatchesReference:
     def test_sparse_inputs(self, b):
         rng = random.Random(sum(b))
         for ring in distinct_rings(b):
-            width = korb.ring._jump_width(max(ring.rank, 1))
+            # 2*rank*(bits of rank + 3): gaps on the scale of rank*log(rank)
+            rank = max(ring.rank, 1)
+            width = 2 * rank * (rank.bit_length() + 3)
             for _ in range(12):
                 x = self.sparse(rng, width)
                 assert reduce(ring, x) == reference_reduce(ring, x), (ring, x)
@@ -278,6 +301,87 @@ class TestReduceMatchesReference:
                 assert reduce(ring, LaurentPoly.monomial(n)) == LaurentPoly(
                     {1: n, 0: 1 - n}
                 )
+
+
+def power_residue(ring, n):
+    """Residue of u^n by square-and-multiply on the residue of u (n > 0) or
+    u^-1 (n < 0), each product reduced by reference_reduce."""
+    if n == 0:
+        return reference_reduce(ring, LaurentPoly.one())
+    step = LaurentPoly.monomial(1 if n > 0 else -1)
+    p = reference_reduce(ring, step)
+    for bit in bin(abs(n))[3:]:
+        p = reference_reduce(ring, p * p)
+        if bit == "1":
+            p = reference_reduce(ring, p * step)
+    return p
+
+
+class TestClosedForm:
+    """reduce against square-and-multiply where the closed form in
+    u^L - 1 applies: exponents spread far beyond every class's reach."""
+
+    VECTORS = [
+        (1, 1),
+        (1, 2, 4),
+        (2, 2, 3),
+        (4, 6),
+        (3, 4, 5),
+        (6, 10, 15),
+        (5, 7, 8),
+        (1, 2, 3, 4, 5, 6, 7),
+        (8, 9, 11),
+    ]
+    MONOMIALS = (10**9, -(10**9), 10**9 - 1, -(10**9) + 12345, 987654321, -123456789)
+
+    @pytest.mark.parametrize("b", VECTORS, ids=lambda b: ",".join(map(str, b)))
+    def test_monomials(self, b):
+        for ring in distinct_rings(b):
+            for n in self.MONOMIALS:
+                x = LaurentPoly.monomial(n)
+                assert reduce(ring, x) == power_residue(ring, n), (ring, n)
+
+    @pytest.mark.parametrize("b", VECTORS, ids=lambda b: ",".join(map(str, b)))
+    def test_sparse_inputs(self, b):
+        rng = random.Random(sum(b))
+        for ring in distinct_rings(b):
+            for _ in range(20):
+                terms = {
+                    rng.randint(-(10**9), 10**9): rng.choice((-1, 1)) * rng.randint(1, 9)
+                    for _ in range(rng.randint(1, 3))
+                }
+                want = sum(
+                    (power_residue(ring, e) * c for e, c in terms.items()),
+                    LaurentPoly.zero(),
+                )
+                assert reduce(ring, LaurentPoly(terms)) == want, (ring, terms)
+
+    def test_far_spread_input_within_budget(self):
+        # 2,000 terms 10^7 apart on the rank-28 sector 0 of 1..7
+        ring = build_sector_rings(build_wps(range(1, 8)))[0]
+        rng = random.Random(7)
+        gap, base = 10**7, -(10**10)
+        coeffs = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(2000)]
+        x = LaurentPoly({base + i * gap: c for i, c in enumerate(coeffs)})
+        start = time.perf_counter()
+        got = reduce(ring, x)
+        assert time.perf_counter() - start < 1.0
+        # u^(base + i*gap) = u^base * (u^gap)^i: Horner's rule over each
+        # 40-term chunk with the residue of u^gap, then u^(base + lo*gap)
+        step = power_residue(ring, gap)
+        total = LaurentPoly.zero()
+        for lo in range(0, 2000, 40):
+            chunk = LaurentPoly(
+                {base + i * gap: coeffs[i] for i in range(lo, lo + 40)}
+            )
+            acc = LaurentPoly.zero()
+            for c in reversed(coeffs[lo : lo + 40]):
+                acc = reference_reduce(ring, acc * step + c)
+            want = reference_reduce(ring, acc * power_residue(ring, base + lo * gap))
+            residue = reduce(ring, chunk)
+            assert residue == want, lo
+            total = total + residue
+        assert got == total
 
 
 def dense_reduce(g, x):
