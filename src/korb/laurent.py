@@ -305,36 +305,52 @@ def normalize(g: LaurentPoly) -> MonicPoly:
 
 
 def divmod_monic(x: LaurentPoly, g: MonicPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Euclidean division x = q*g + r with deg r < deg g, exact over Z.
+    """Euclidean division x = q*g + r in Z[u, u^-1] with 0 <= deg r < deg g,
+    exact over Z.
 
-    x must be an ordinary polynomial (no negative exponents) and g monic.
-    Each step subtracts c*u^(e-d)*g over g's nonzero lower terms only.
+    g must be monic.  A dividend with negative exponents also needs g's
+    constant term g0 to be +-1, so that u is a unit modulo g.  One buffer
+    runs from min(lo, 0) to the top.  A bottom pass clears each negative
+    exponent e by subtracting c*g0*u^e*g; a top pass then clears each
+    exponent e >= deg g by subtracting c*u^(e-d)*g.  Each step touches g's
+    nonzero terms only.
 
     >>> divmod_monic(parse_laurent("u^4"), normalize(euler_class(4)))
     (1, 1)
+    >>> divmod_monic(parse_laurent("u^-1"), normalize(euler_class(4)))
+    (-u^-1, u^3)
     """
     if not g.monic:
         raise ValueError("divisor must be monic")
     if x.is_zero:
         return LaurentPoly.zero(), LaurentPoly.zero()
-    if x.min_exp < 0:
-        raise ValueError(f"dividend has negative exponent {x.min_exp}")
+    terms = x.terms
+    lo, g0 = min(min(terms), 0), g.constant
+    if lo < 0 and g0 not in (1, -1):
+        raise ValueError(f"dividend has negative exponent {lo} but constant term {g0}, not +-1")
     d = g.degree
-    if d == 0:
-        return x, LaurentPoly.zero()
-    rem = [0] * (x.max_exp + 1)
-    for e, c in x.terms.items():
-        rem[e] = c
+    buf = [0] * (max(max(terms), d - 1) - lo + 1)
+    for e, c in terms.items():
+        buf[e - lo] = c
     q: dict[int, int] = {}
     lower = g.lower_terms
-    for e in range(len(rem) - 1, d - 1, -1):
-        c = rem[e]
+    for i in range(-lo):
+        c = buf[i]
         if c:
-            q[e - d] = c
-            # the leading term cancels rem[e], which is not read again
+            c *= g0
+            q[lo + i] = c
+            # the j = 0 term cancels buf[i], which is not read again
             for j, gj in lower:
-                rem[e - d + j] -= c * gj
-    r = {e: c for e, c in enumerate(rem[:d]) if c}
+                buf[i + j] -= c * gj
+            buf[i + d] -= c
+    for i in range(len(buf) - 1, d - lo - 1, -1):
+        c = buf[i]
+        if c:
+            q[lo + i - d] = c
+            # the leading term cancels buf[i], which is not read again
+            for j, gj in lower:
+                buf[i - d + j] -= c * gj
+    r = {e: c for e, c in enumerate(buf[-lo : d - lo]) if c}
     return LaurentPoly._of(q), LaurentPoly._of(r)
 
 

@@ -148,15 +148,18 @@ def build_sector_rings(d: WpsData) -> tuple[SectorRing, ...]:
 def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
     """Canonical residue of x modulo the sector ideal, degree < rank.
 
-    x is reduced in one dense pass (_reduce_run) when its exponents, with
-    0, spread over at most ring.reach, as every target sum of
-    star_multiply is.  Otherwise, with L = lcm(b_F) and m = |b_F| for the
-    fixed weights b_F, N = u^L - 1 is a multiple of every factor of the
-    generator, so N^m = 0 and, for every integer q and C(q, j) =
-    q(q-1)...(q-j+1)/j!, u^(qL + r) = u^r * sum_{j<m} C(q, j) * N^j.
+    The residue is the remainder of one Euclidean division by the
+    generator (divmod_monic, a dense pass that clears both ends) when x's
+    exponents, with 0, spread over at most ring.reach, as every target sum
+    of star_multiply does.  The constant term is checked first, since the
+    closed form below sees no negative exponent.  Otherwise, with L =
+    lcm(b_F) and m = |b_F| for the fixed weights b_F, N = u^L - 1 is a
+    multiple of every factor of the generator, so N^m = 0 and, for every
+    integer q and C(q, j) = q(q-1)...(q-j+1)/j!,
+    u^(qL + r) = u^r * sum_{j<m} C(q, j) * N^j.
     Writing x = sum_q u^(qL) P_q with 0 <= deg P_q < L, one pass over the
     terms builds S_j = sum_q C(q, j) P_q, and Horner's rule joins them,
-    acc = residue(acc * N + S_j) for j = m - 1 down to 0: m dense passes
+    acc = remainder(acc * N + S_j) for j = m - 1 down to 0: m dense passes
     over fewer than L + rank exponents, however far apart the terms lie.
 
     >>> from korb.sectors import build_wps
@@ -174,7 +177,7 @@ def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
     if lo < 0 and g.coeffs[0] not in (1, -1):
         raise ValueError("generator constant term must be +-1")
     if max(hi, 0) - min(lo, 0) <= ring.reach:
-        return _reduce_run(g, x)
+        return divmod_monic(x, g)[1]
     L = ring.period
     sums: list[dict[int, int]] = [{} for _ in ring.fixed]
     for e, c in terms.items():
@@ -184,38 +187,8 @@ def reduce(ring: SectorRing, x: LaurentPoly) -> LaurentPoly:
             c = c * (q - j) // (j + 1)  # x's coefficient times C(q, j + 1)
     acc, n = LaurentPoly.zero(), LaurentPoly({L: 1, 0: -1})
     for s in reversed(sums):
-        acc = _reduce_run(g, acc * n + LaurentPoly(s))
+        acc = divmod_monic(acc * n + LaurentPoly(s), g)[1]
     return acc
-
-
-def _reduce_run(g: MonicPoly, x: LaurentPoly) -> LaurentPoly:
-    """Residue of x modulo g, stepping over every exponent of x.
-
-    Negative exponents are cleared from the bottom: the constant term g0
-    is +-1, so subtracting c*g0*u^e*g removes the term c*u^e and touches
-    only higher exponents, over g's nonzero terms.  One division by the
-    monic g then clears the top.  The caller has checked g0 when x has
-    negative exponents.
-    """
-    if x.is_zero:
-        return x
-    lo = x.min_exp
-    if lo < 0:
-        d = g.degree
-        buf = [0] * (max(x.max_exp, d - 1) - lo + 1)
-        for e, c in x.terms.items():
-            buf[e - lo] = c
-        g0, lead = g.constant, g.coeffs[-1]
-        for i in range(-lo):
-            if buf[i]:
-                # over g's nonzero terms; the j = 0 one clears buf[i],
-                # which is not read again
-                c = buf[i] * g0
-                for j, gj in g.lower_terms:
-                    buf[i + j] -= c * gj
-                buf[i + d] -= c * lead
-        x = LaurentPoly._of({e: c for e, c in enumerate(buf[-lo:]) if c})
-    return divmod_monic(x, g)[1]
 
 
 def zero_element(d: WpsData) -> KOrbElement:

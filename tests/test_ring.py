@@ -949,6 +949,37 @@ class TestVerify:
         )
         assert rep.exponent_checks == 30 + 12 + 73
 
+    @pytest.mark.parametrize(
+        "twist, law",
+        [
+            # xy := x*x: the product forgets its right operand
+            (lambda mul, one, x, y: mul(x, x), "commutativity"),
+            (lambda mul, one, x, y: mul(x, y) + mul(x, y) if x == one else mul(x, y), "unit law"),
+            (lambda mul, one, x, y: p if (p := mul(x, y)).is_zero else p + one, "distributivity"),
+        ],
+        ids=["commutativity", "unit-law", "distributivity"],
+    )
+    def test_each_random_law_can_fail(self, monkeypatch, d124, twist, law):
+        # as TestVerifyFailuresReplay does for associativity: a broken
+        # product must show up as the law's own failure line
+        real, one = korb.ring.star_multiply, unit_element(d124)
+        monkeypatch.setattr(
+            korb.ring,
+            "star_multiply",
+            lambda rings, d, x, y: twist(lambda a, b: real(rings, d, a, b), one, x, y),
+        )
+        rep = verify(d124, trials=3, seed=0)
+        assert not rep.passed
+        assert any(f.startswith(f"{law} fails at trial 0 of seed 0: x='") for f in rep.failures)
+
+    def test_trials_reach_every_residue_degree(self, d124, rings124):
+        # verify's draws at seed 0: x, y and z for each of the 500 trials
+        rng = random.Random(0)
+        draws = [random_element(rings124, d124, rng) for _ in range(3 * 500)]
+        for s, ring in enumerate(rings124):
+            if ring.rank:
+                assert any(x.comps[s].terms.get(ring.rank - 1) for x in draws), s
+
     def test_deterministic_given_seed(self, d124):
         assert verify(d124, trials=20, seed=9) == verify(d124, trials=20, seed=9)
 

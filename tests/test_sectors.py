@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -278,6 +278,50 @@ class TestByClass:
         assert sorted(made) == sorted(g % d.ell for g in range(1, d.ell + 1) if d.ell % g == 0)
         assert len(out) == d.ell
         assert all(x is made[gcd(s, d.ell) % d.ell] for s, x in enumerate(out))
+
+
+def age_factors(b, s, t):
+    """The weights of c(s, t)'s Euler factors 1 - u^-b_k, by the definition
+    of the full orbifold product (Jarvis-Kaufmann-Kimura), from integer
+    ages A_k(g) = b_k*g mod ell and fixed loci alone.  A coordinate not
+    fixed by both s and t gives (A_k(s) + A_k(t) + A_k(-(s+t)))/ell - 1
+    factors of the obstruction bundle, and one more, of the pushforward
+    into the fixed locus of s + t, when s + t fixes it."""
+    ell = lcm(*b)
+    ws = []
+    for w in b:
+        a_s, a_t, a_st = w * s % ell, w * t % ell, w * (s + t) % ell
+        if a_s == a_t == 0:
+            continue
+        n, rem = divmod(a_s + a_t + -w * (s + t) % ell, ell)
+        assert rem == 0, (b, s, t)
+        ws += [w] * (n - 1 + (a_st == 0))
+    return tuple(ws)
+
+
+class TestAgesOracle:
+    """sector_pairs' obstructed weights, read off packed carry keys,
+    against the definition they come from."""
+
+    VECTORS = [(1, 2, 4), (3, 4, 5), (5, 7, 8), (2, 2, 3), (4, 6), (6, 10, 15)]
+
+    @pytest.mark.parametrize("b", VECTORS)
+    def test_sector_pairs_match_the_definition(self, b):
+        for s, t, _, ws in sector_pairs(build_wps(b), 0):
+            assert ws == age_factors(b, s, t), (s, t)
+
+    @pytest.mark.parametrize("b", VECTORS)
+    def test_chen_ruan_degree(self, b):
+        # each factor vanishes once at u = 1, so the order of vanishing of
+        # c(s, t) is its number of factors: age(s) + age(t) - age(s + t),
+        # with age(g) = sum_k A_k(g) / ell
+        ell = lcm(*b)
+
+        def age(g):
+            return sum(w * g % ell for w in b)
+
+        for s, t, tgt, ws in sector_pairs(build_wps(b), 0):
+            assert len(ws) * ell == age(s) + age(t) - age(tgt), (s, t)
 
 
 def test_doctests():
