@@ -130,12 +130,13 @@ def _concat(*columns):
 
 def _by_ring(rings, cell):
     """cell(s, r) for each sector's ring r in turn, made once per ring
-    object from one sector s that holds it: sectors that share a ring
-    share a class, and so a fixed set.  Keyed by identity: hashing a
+    object from the first sector s that holds it: sectors that share a
+    ring share a class, and so a fixed set.  Keyed by identity: hashing a
     SectorRing rehashes its generator."""
-    holders = dict(zip(map(id, rings), range(len(rings))))
-    cells = {i: cell(s, rings[s]) for i, s in holders.items()}
-    return map(cells.__getitem__, map(id, rings))
+    ids = list(map(id, rings))
+    firsts = map(ids.index, dict.fromkeys(ids))
+    cells = {ids[s]: cell(s, rings[s]) for s in firsts}
+    return map(cells.__getitem__, ids)
 
 
 def _poly_latex(p: LaurentPoly) -> str:

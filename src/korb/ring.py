@@ -234,14 +234,14 @@ def star_multiply(
     c(s, t) is the Euler product over the coordinates k whose carry
     [r_k(s) + r_k(t) >= ell] is 1, so a vector of n+1 weights has at most
     2^(n+1) of them, one per obstruction class, read off the pair's carry
-    key (sectors.carry_keys, which checks logw against b_k*s mod ell in
-    the operands' sectors): one add and one AND per pair.  The first pair
-    of each class asks structure_coefficient for c, which is packed once at
-    its own lowest exponent.  The pair products are summed per (target,
-    class) as ints; each group sum is multiplied by its packed c and
-    unpacked once, and the groups of a target are added and reduced once
-    (reduce is Z-linear and its residue unique, so this equals reducing
-    every term).
+    key (sectors.carry_keys, which checks a given logweight table against
+    b_k*s mod ell in the operands' sectors): one add and one AND per pair.
+    The first pair of each class asks structure_coefficient for c, which is
+    packed once at its own lowest exponent.  The pair products are summed
+    per (target, class) as ints; each group sum is multiplied by its packed
+    c and unpacked once, and the groups of a target are added and reduced
+    once (reduce is Z-linear and its residue unique, so this equals
+    reducing every term).
 
     The digit width w is exact for any operands.  A digit of one pair
     product sums at most min(span_x, span_y) coefficient products, where a
@@ -416,10 +416,11 @@ def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
     weights rather than from logw, and zero against the identity sector;
     the cocycle identity
     e(s,t) + e([s+t],w) = e(s,[t+w]) + e(t,w) is checked over all triples,
-    once per divisor class of (b_k, ell).  A coordinate whose logw row
-    equals the oracle's residues passes its ell*(ell+3)/2 pair and unit
-    checks at once; any other is walked pair by pair to name each failure,
-    and an exponent outside {0,1} ends the walk.  A missing or extra row,
+    once per divisor class of (b_k, ell).  A coordinate whose logw row (the
+    given table's, else one built from the weights) equals the oracle's
+    residues passes its ell*(ell+3)/2 pair and unit checks at once; any
+    other is walked pair by pair to name each failure, and an exponent
+    outside {0,1} ends the walk.  A missing or extra row,
     or one not ell long, is a failure line, not an error; its coordinate
     counts no checks.  Returns the number of checks and any failure
     descriptions.

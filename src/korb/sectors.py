@@ -2,16 +2,17 @@
 
 The weights b = (b_0, ..., b_n) determine ell = lcm(b) and a cyclic
 stabilizer group of order ell.  The {0,1} exponents twisting sector
-products are the carries of r_k(s) = (b_k * s) mod ell, read by carry_keys.
-Which coordinates the sector s fixes, and so the kernel generator of its
-quotient ring, follow from the divisor rule instead: s fixes k exactly
-when ell/b_k divides gcd(s, ell), so they depend only on that gcd.
+products are the carries of r_k(s) = (b_k * s) mod ell, computed from the
+weights and read by carry_keys.  Which coordinates the sector s fixes,
+and so the kernel generator of its quotient ring, follow from the divisor
+rule: s fixes k exactly when ell/b_k divides gcd(s, ell), so they depend
+only on that gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count, repeat
 from math import gcd, lcm
 from operator import lshift
@@ -21,27 +22,37 @@ from .laurent import LaurentPoly, euler_class
 
 @dataclass(frozen=True)
 class WpsData:
-    """Weights, group order, and the full logweight numerator table.
+    """Weights, group order, and a logweight numerator table when one is
+    given as the third argument.
 
-    logw[k][s] = (b[k] * s) % ell, so the logweight of sector s on the
-    k-th coordinate is the exact fraction logw[k][s] / ell.
+    The logweight of sector s on the k-th coordinate is the exact fraction
+    r_k(s) / ell, r_k(s) = (b[k] * s) % ell: a function of the weights, so
+    build_wps gives no table, and carry_keys and obstruction_exponent
+    compute the residues they use from b.  logw is the given table, else
+    the rows logw[k][s] = r_k(s), built on first read.  A given table is
+    checked against the weights where it is read.
     """
 
     b: tuple[int, ...]
     ell: int
-    logw: tuple[tuple[int, ...], ...]
+    table: tuple[tuple[int, ...], ...] | None = None
+
+    @cached_property
+    def logw(self) -> tuple[tuple[int, ...], ...]:
+        if self.table is not None:
+            return self.table
+        return tuple(tuple(w * s % self.ell for s in range(self.ell)) for w in self.b)
 
 
 def build_wps(b) -> WpsData:
+    """The weights b checked, with ell = lcm(b); O(len(b)) work, whatever ell."""
     bt = tuple(b)
     if not bt:
         raise ValueError("weight vector must not be empty")
     for k, w in enumerate(bt):
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise ValueError(f"weight b_{k} must be a positive integer, got {w!r}")
-    ell = lcm(*bt)
-    logw = tuple(tuple(w * s % ell for s in range(ell)) for w in bt)
-    return WpsData(bt, ell, logw)
+    return WpsData(bt, lcm(*bt))
 
 
 def check_sector(d: WpsData, s: int) -> None:
@@ -70,12 +81,18 @@ def fixed_set(d: WpsData, s: int) -> tuple[int, ...]:
 
 
 def obstruction_exponent(d: WpsData, k: int, s: int, t: int) -> int:
-    """(r_k(s) + r_k(t) - r_k([s+t])) / ell, always 0 or 1."""
+    """The carry [r_k(s) + r_k(t) >= ell], that is (r_k(s) + r_k(t) -
+    r_k([s+t])) / ell, always 0 or 1.  When d was given a logweight table,
+    the r_k are read from its row k, and ValueError unless that quotient
+    is exact and 0 or 1."""
     check_sector(d, s)
     check_sector(d, t)
     if not 0 <= k < len(d.b):
         raise ValueError(f"coordinate index {k} out of range [0, {len(d.b)})")
-    row = d.logw[k]
+    if d.table is None:
+        w, ell = d.b[k], d.ell
+        return int(w * s % ell + w * t % ell >= ell)
+    row = d.table[k]
     e, rem = divmod(row[s] + row[t] - row[(s + t) % d.ell], d.ell)
     if rem or e not in (0, 1):
         raise ValueError(
@@ -87,12 +104,12 @@ def obstruction_exponent(d: WpsData, k: int, s: int, t: int) -> int:
 def carry_keys(d: WpsData, sectors) -> tuple[list[int], int, tuple[int, ...]]:
     """(keys, bias, tops) that read a pair's carries in one add and one AND.
 
-    keys[i] packs r_k(s) = logw[k][s], s the i-th given sector, in field k
+    keys[i] packs r_k(s) = b_k*s mod ell, s the i-th given sector, in field k
     of f = bits of ell + 1 bits.  With the bias 2^(f-1) - ell per field,
     field k of bias + key_s + key_t reaches its top bit tops[k] exactly when
-    e_k(s, t) = [r_k(s) + r_k(t) >= ell] is 1, and never overflows.
-    ValueError unless logw has one ell-long row per weight and each given
-    sector's column holds b_k*s mod ell.
+    e_k(s, t) = [r_k(s) + r_k(t) >= ell] is 1, and never overflows.  When d
+    was given a logweight table, ValueError unless it has one ell-long row
+    per weight and each given sector's column holds these residues.
 
     >>> d = build_wps((1, 2, 4))
     >>> keys, bias, tops = carry_keys(d, range(d.ell))
@@ -100,18 +117,19 @@ def carry_keys(d: WpsData, sectors) -> tuple[list[int], int, tuple[int, ...]]:
     >>> [k for k, top in enumerate(tops) if key & top]
     [0, 1]
     """
-    ell, b, logw = d.ell, d.b, d.logw
-    if len(logw) != len(b) or set(map(len, logw)) != {ell}:
-        raise ValueError(f"logweights are not b_k*s mod {ell}, one row per weight")
+    ell, b, table = d.ell, d.b, d.table
+    corrupt = f"logweights are not b_k*s mod {ell}, one row per weight"
+    if table is not None and (len(table) != len(b) or set(map(len, table)) != {ell}):
+        raise ValueError(corrupt)
     f = ell.bit_length() + 1
     shifts = range(0, f * len(b), f)
     tops = tuple(map((1 << f - 1).__lshift__, shifts))
     bias = sum(tops) - sum(map(ell.__lshift__, shifts))
     keys = []
     for s in sectors:
-        column = [row[s] for row in logw]
-        if column != [w * s % ell for w in b]:
-            raise ValueError(f"logweights are not b_k*s mod {ell}, one row per weight")
+        column = [w * s % ell for w in b]
+        if table is not None and column != [row[s] for row in table]:
+            raise ValueError(corrupt)
         keys.append(sum(map(lshift, column, shifts)))
     return keys, bias, tops
 
@@ -126,8 +144,9 @@ def sector_rows(d: WpsData, first: int, render=None, names=None):
     the carry_keys list: one add and one AND per pair give its class key,
     which a dict looks up; its __missing__ decodes and renders each of the
     at most 2^(n+1) classes once per call.  So a caller builds a row with
-    map and str.join, with no Python frame per pair.  ValueError unless
-    logw[k][s] == b_k*s mod ell throughout (carry_keys checks it).
+    map and str.join, with no Python frame per pair.  ValueError when d
+    was given a logweight table that is not b_k*s mod ell throughout
+    (carry_keys checks it).
 
     >>> d = build_wps((1, 2, 4))
     >>> [(s, list(classes), targets) for s, classes, targets in sector_rows(d, 2)]

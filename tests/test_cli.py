@@ -776,6 +776,44 @@ class TestOneClassWalk:
         assert sorted(calls) == list(range(1, 792))
 
 
+class TestLogweightTableOnlyWhereRead:
+    """build_wps gives no logweight table: only chart and verify's exponent
+    battery read d.logw, which builds it; every other command computes
+    residues from the weights."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        reads = []
+        built = korb.sectors.WpsData.logw
+        monkeypatch.setattr(
+            korb.sectors.WpsData, "logw", property(lambda d: reads.append(d.b) or built.__get__(d))
+        )
+        return reads
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *((command, "--format", fmt) for command in ("kernels", "rank", "torsion")
+              for fmt in ("text", "latex", "json")),
+            ("table",),
+            ("present",),
+            ("mul", "--lhs", "0:1 + u; 99:2", "--rhs", "198:u^-1; 0:3"),
+            ("reduce", "--sector", "0", "--poly", "u^-100 + 7u^1000"),
+        ],
+        ids=" ".join,
+    )
+    def test_commands_on_8_9_11_never_read_it(self, reads, argv):
+        code, out, err = run(argv[0], "8,9,11", *argv[1:])
+        assert (code, err) == (0, "")
+        assert reads == []
+
+    @pytest.mark.parametrize("argv", [("chart",), ("verify", "--trials", "1")], ids=" ".join)
+    def test_chart_and_verify_read_it(self, reads, argv):
+        code, out, err = run(argv[0], "1,2,4", *argv[1:])
+        assert (code, err) == (0, "")
+        assert reads
+
+
 class TestTableMemory:
     def test_text_table_8_9_11_is_joined_a_row_at_a_time(self):
         # the output is 14 MiB; one string per pair line peaked at 42-45 MiB
@@ -1141,6 +1179,19 @@ def cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+# Runs korb.cli.main on argv under a 2 GiB address space cap, then writes
+# the peak RSS of its own address space in KiB (VmHWM) to stderr.
+PEAK_MEMORY_CHILD = r"""
+import re, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from korb.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    print(re.search(r"VmHWM:\s+(\d+) kB", f.read())[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
 class TestSubprocess:
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -1235,6 +1286,29 @@ class TestSubprocess:
             preexec_fn=cap_address_space,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2044250\n", "")
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    @pytest.mark.parametrize(
+        "argv, stdout, peak_mib",
+        [
+            (("rank", "1009,1013"), "2044250\n", 64),
+            (("mul", "1009,1013", "--lhs", "1013:1", "--rhs", "1009:u"), "0\n", 96),
+        ],
+        ids=["rank", "mul"],
+    )
+    def test_large_ell_peak_memory(self, argv, stdout, peak_mib):
+        # The child's ru_maxrss would not do: on Linux exec carries the
+        # spawning process's peak over, so a child of this test process
+        # reads at least this process's peak, whatever korb uses.  A table
+        # of the logweights b_k*s mod ell alone would hold 2,044,234 ints.
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_MEMORY_CHILD, *argv],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (0, stdout), proc.stderr
+        assert int(proc.stderr) < peak_mib * 1024
 
     def test_large_ell_torsion_under_memory_cap(self):
         proc = subprocess.run(

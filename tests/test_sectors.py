@@ -1,15 +1,24 @@
 import random
 import tracemalloc
+from itertools import repeat
 from math import gcd, lcm
 
 import pytest
 
 from korb.laurent import LaurentPoly, euler_class, parse_laurent
-from korb.ring import _cocycle_rows, generator_table
+from korb.ring import (
+    _cocycle_rows,
+    build_sector_rings,
+    check_exponents,
+    generator_table,
+    random_element,
+    star_multiply,
+)
 from korb.sectors import (
     WpsData,
     build_wps,
     by_class,
+    carry_keys,
     euler_product,
     fixed_set,
     fixed_weights,
@@ -17,10 +26,21 @@ from korb.sectors import (
     obstruction_exponent,
     obstruction_set,
     sector_pairs,
+    sector_rows,
     structure_coefficient,
 )
 
 PAIR_VECTORS = [(1,), (2, 2, 3), (4, 6), (2, 4, 6), (3, 4, 5), (5, 7, 8)]
+# the benchmark ladder, then repeated and non-coprime weights
+RESIDUE_VECTORS = [(1, 2, 4), (3, 4, 5), (5, 7, 8), (1, 2, 3, 4, 5, 6, 7), (8, 9, 11),
+                   (2, 2, 3), (4, 6), (6, 10, 15)]
+
+
+def with_table(b):
+    """(build_wps(b), the same weights given their logweight table b_k*s mod ell)."""
+    d = build_wps(b)
+    table = tuple(tuple(w * s % d.ell for s in range(d.ell)) for w in d.b)
+    return d, WpsData(d.b, d.ell, table)
 
 
 class TestBuildWps:
@@ -60,6 +80,72 @@ class TestBuildWps:
     def test_non_effective_weights_allowed(self):
         d = build_wps((2, 4))
         assert d.ell == 4
+
+    def test_ell_1022117_builds_no_table(self):
+        # a table would hold 2 * 1,022,117 ints; the weights alone are O(n)
+        tracemalloc.start()
+        try:
+            d = build_wps((1009, 1013))
+            size = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.ell == 1009 * 1013
+        assert d.table is None
+        assert size < 2**20
+
+    def test_table_built_once_on_first_read(self):
+        d = build_wps((2, 3))
+        assert "logw" not in vars(d)
+        assert d.logw is d.logw == ((0, 2, 4, 0, 2, 4), (0, 3, 0, 3, 0, 3))
+
+    def test_given_table_is_returned_as_given(self):
+        # logw does not correct a table; its readers check it
+        table = ((0, 1, 2, 1), (0, 2, 0, 2), (0, 0, 0, 0))
+        assert WpsData((1, 2, 4), 4, table).logw is table
+
+
+class TestResiduesFromWeights:
+    """build_wps gives no logweight table: its readers compute b_k*s mod
+    ell from the weights.  They must agree with the same weights given the
+    correct table, which each reader checks."""
+
+    @pytest.mark.parametrize("b", RESIDUE_VECTORS, ids=lambda b: ",".join(map(str, b)))
+    def test_carry_keys(self, b):
+        d, given = with_table(b)
+        assert carry_keys(d, range(d.ell)) == carry_keys(given, range(d.ell))
+
+    @pytest.mark.parametrize("b", RESIDUE_VECTORS, ids=lambda b: ",".join(map(str, b)))
+    def test_sector_rows(self, b):
+        rows = lambda d: [(s, list(classes), targets) for s, classes, targets in sector_rows(d, 0)]
+        d, given = with_table(b)
+        assert rows(d) == rows(given)
+
+    @pytest.mark.parametrize("b", RESIDUE_VECTORS, ids=lambda b: ",".join(map(str, b)))
+    def test_obstruction_exponent_over_all_pairs(self, b):
+        d, given = with_table(b)
+        for k in range(len(b)):
+            for s in range(d.ell):
+                ts = range(s, d.ell)
+                ours = list(map(obstruction_exponent, repeat(d), repeat(k), repeat(s), ts))
+                assert ours == list(
+                    map(obstruction_exponent, repeat(given), repeat(k), repeat(s), ts)
+                ), (k, s)
+
+    @pytest.mark.parametrize("b", RESIDUE_VECTORS, ids=lambda b: ",".join(map(str, b)))
+    def test_check_exponents(self, b):
+        d, given = with_table(b)
+        checks, failures = check_exponents(d)
+        assert (checks, failures) == check_exponents(given)
+        assert failures == ()
+
+    @pytest.mark.parametrize("b", RESIDUE_VECTORS, ids=lambda b: ",".join(map(str, b)))
+    def test_star_multiply(self, b):
+        d, given = with_table(b)
+        rings = build_sector_rings(d)
+        rng = random.Random(sum(b))
+        for _ in range(3):
+            x, y = random_element(rings, d, rng), random_element(rings, d, rng)
+            assert star_multiply(rings, d, x, y) == star_multiply(rings, given, x, y)
 
 
 class TestFixedSet:

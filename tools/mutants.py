@@ -88,6 +88,27 @@ MUTANTS = (
         "bias = sum(tops) - sum(map((ell + 1).__lshift__, shifts))", (T_SECTORS,),
     ),
     Mutant(
+        "carry_keys skips its check of a given logweight table",
+        SECTORS, "if table is not None and column != [row[s] for row in table]:",
+        "if False:", (T_RING,),
+    ),
+    Mutant(
+        "obstruction_exponent ignores a given logweight table",
+        SECTORS, "if d.table is None:", "if True:", (T_RING,),
+    ),
+    Mutant(
+        "the logweight table built from the weights is one sector off",
+        SECTORS, "w * s % self.ell", "w * (s + 1) % self.ell", (T_SECTORS,),
+    ),
+    Mutant(
+        "fixed_set loses the last coordinate",
+        SECTORS, "for k, w in enumerate(d.b) if", "for k, w in enumerate(d.b[:-1]) if", (T_SECTORS,),
+    ),
+    Mutant(
+        "euler_product loses a factor",
+        SECTORS, "for w in weights:", "for w in weights[1:]:", (T_SECTORS,),
+    ),
+    Mutant(
         "reduce's dense bound is 128 lower",
         RING, "(self.period + self.rank) + 64", "(self.period + self.rank) - 64", (T_RING,),
         equivalent="reach only chooses between the dense pass and the closed form,"
