@@ -236,8 +236,11 @@ def star_multiply(
     2^(n+1) of them, one per obstruction class, read off the pair's carry
     key (sectors.carry_keys, which checks a given logweight table against
     b_k*s mod ell in the operands' sectors): one add and one AND per pair.
-    The first pair of each class asks structure_coefficient for c, which is
-    packed once at its own lowest exponent.  The pair products are summed
+    The carry keys and the class coefficients live in d.products, one
+    table per WpsData filled as products touch them: carry_keys runs once
+    per sector, the first pair of each class over all products asks
+    structure_coefficient for c, and c is packed at its own lowest
+    exponent once per digit width w.  The pair products are summed
     per (target, class) as ints; each group sum is multiplied by its packed
     c and unpacked once, and the groups of a target are added and reduced
     once (reduce is Z-linear and its residue unique, so this equals
@@ -272,30 +275,31 @@ def star_multiply(
     lo_y, span_y, top_y = _extent(ys)
     bound = min(len(xs), len(ys)) * min(span_x, span_y) * top_x * top_y << nb
     w = bound.bit_length() + 1
-    keys, bias, tops = carry_keys(d, [s for s, _ in xs + ys])
-    keys_x, keys_y = keys[: len(xs)], keys[len(xs) :]
-    high = sum(tops)
-    packed_y = [(t, kt, _pack(p, lo_y, w)) for (t, p), kt in zip(ys, keys_y)]
-    # class key -> (lowest exponent, packed c, span of c)
-    coeffs: dict[int, tuple[int, int, int]] = {}
+    keys, classes, bias, high = d.products
+    new = [s for s, _ in xs + ys if s not in keys]
+    if new:
+        keys.update(zip(new, carry_keys(d, new)[0]))
+    packed_y = [(t, keys[t], _pack(p, lo_y, w)) for t, p in ys]
     groups: dict[tuple[int, int], int] = {}
-    for (s, p), ks in zip(xs, keys_x):
+    for s, p in xs:
         xi = _pack(p, lo_x, w)
-        rs = bias + ks
+        rs = bias + keys[s]
         for t, rt, yi in packed_y:
             tgt = (s + t) % ell
             if rings[tgt].rank == 0:
                 continue
             key = (rs + rt) & high
-            if key not in coeffs:
+            if key not in classes:
                 c = structure_coefficient(d, s, t)
-                lo_c = c.min_exp
-                coeffs[key] = lo_c, _pack(c, lo_c, w), c.max_exp - lo_c + 1
+                classes[key] = c, c.min_exp, c.max_exp - c.min_exp + 1, {}
             group = tgt, key
             groups[group] = groups.get(group, 0) + xi * yi
     sums: dict[int, LaurentPoly] = {}
     for (tgt, key), v in groups.items():
-        lo_c, pc, span_c = coeffs[key]
+        c, lo_c, span_c, packed = classes[key]
+        pc = packed.get(w)
+        if pc is None:
+            pc = packed[w] = _pack(c, lo_c, w)
         term = _unpack(v * pc, lo_x + lo_y + lo_c, w, span_x + span_y + span_c - 2)
         sums[tgt] = sums[tgt] + term if tgt in sums else term
     out = [LaurentPoly.zero()] * ell

@@ -31,6 +31,10 @@ class WpsData:
     compute the residues they use from b.  logw is the given table, else
     the rows logw[k][s] = r_k(s), built on first read.  A given table is
     checked against the weights where it is read.
+
+    products is star_multiply's product table, made empty on first read
+    (never by build_wps) and filled by the products over these weights;
+    other callers treat it as read-only.
     """
 
     b: tuple[int, ...]
@@ -42,6 +46,17 @@ class WpsData:
         if self.table is not None:
             return self.table
         return tuple(tuple(w * s % self.ell for s in range(self.ell)) for w in self.b)
+
+    @cached_property
+    def products(self) -> tuple[dict, dict, int, int]:
+        """(keys, classes, bias, high): keys maps each sector a product has
+        touched to its carry key (carry_keys), stored once carry_keys has
+        checked that sector against a given table; classes maps each
+        obstruction class key to (c, lowest exponent of c, span of c,
+        {digit width w: c packed at w}); a pair's class key is
+        (bias + key_s + key_t) & high."""
+        _, bias, tops = carry_keys(self, ())
+        return {}, {}, bias, sum(tops)
 
 
 def build_wps(b) -> WpsData:
@@ -110,6 +125,8 @@ def carry_keys(d: WpsData, sectors) -> tuple[list[int], int, tuple[int, ...]]:
     e_k(s, t) = [r_k(s) + r_k(t) >= ell] is 1, and never overflows.  When d
     was given a logweight table, ValueError unless it has one ell-long row
     per weight and each given sector's column holds these residues.
+    star_multiply keeps the keys it asks for in d.products, so each sector
+    is packed and checked here once per WpsData.
 
     >>> d = build_wps((1, 2, 4))
     >>> keys, bias, tops = carry_keys(d, range(d.ell))

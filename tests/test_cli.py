@@ -9,7 +9,6 @@ import re
 import resource
 import subprocess
 import sys
-import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -1321,32 +1320,26 @@ class TestSubprocess:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith("\\text{torsion-free: PASS (ranks 2022, 0, ")
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_large_ell_torsion_json_under_memory_cap(self, tmp_path):
         # 1,022,117 sector objects, about 130 MB of JSON: one dict per
-        # sector through the stdlib encoder peaked at 1.3 GB
+        # sector through the stdlib encoder peaked at 1.3 GB.  The child
+        # reports its own peak, as in test_large_ell_peak_memory
         out = tmp_path / "torsion.json"
+        argv = "torsion", "1009,1013", "--format", "json"
         with open(out, "wb") as stdout:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "korb.cli", "torsion", "1009,1013", "--format", "json"],
+            proc = subprocess.run(
+                [sys.executable, "-c", PEAK_MEMORY_CHILD, *argv],
                 stdout=stdout,
-                stderr=subprocess.DEVNULL,
-                preexec_fn=cap_address_space,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
             )
-            deadline = time.monotonic() + 60
-            while not (waited := os.wait4(proc.pid, os.WNOHANG))[0]:
-                if time.monotonic() > deadline:
-                    proc.kill()
-                    proc.wait()
-                    pytest.fail("torsion 1009,1013 --format json ran past 60 s")
-                time.sleep(0.05)
-        _, status, usage = waited
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         with open(out, "rb") as f:
             f.seek(-2, os.SEEK_END)
             assert f.read() == b"}\n"
-        # ru_maxrss is in KiB on Linux
-        assert usage.ru_maxrss < 800 * 1024
+        assert int(proc.stderr) < 800 * 1024
 
     @pytest.mark.parametrize(
         "argv, lines_read",

@@ -728,6 +728,89 @@ class TestStarMultiplyLooksUpOncePerClass:
         assert len(set(looked_up)) == len(looked_up)
 
 
+def _table_size(d):
+    """Entries in d's product table: carry keys, classes and packed c's."""
+    keys, classes, _, _ = d.products
+    return len(keys), len(classes), sum(len(entry[3]) for entry in classes.values())
+
+
+class TestProductTable:
+    """star_multiply keeps the carry keys and class coefficients of a
+    WpsData in d.products, so later products over the same weights reuse
+    them.  Every product is checked against the per-pair reference."""
+
+    def test_one_lookup_per_class_over_many_products(self, coefficient_calls):
+        d = build_wps((3, 4, 5))
+        rings = build_sector_rings(d)
+        rng = random.Random(30)
+        for _ in range(50):
+            x = _wild_element(d, rng, rng.randint(1, 12))
+            y = _wild_element(d, rng, rng.randint(1, 12))
+            assert star_multiply(rings, d, x, y) == _per_pair_product(rings, d, x, y)
+        looked_up = [korb.sectors.obstruction_set(d, s, t) for s, t in coefficient_calls]
+        assert 0 < len(looked_up) == len(set(looked_up))
+
+    def test_vectors_with_one_field_layout_keep_their_own_tables(self):
+        # 1,2,4, 1,4,4 and 2,1,4 share ell 4 and three 3-bit fields.  Sector
+        # 1 has a different carry key on each, and one class key, a carry
+        # in field 0 alone, means 1 - u^-1 on 1,2,4 but 1 - u^-2 on 2,1,4
+        rng = random.Random(4)
+        vectors = [build_wps(b) for b in ((1, 2, 4), (1, 4, 4), (2, 1, 4))]
+        assert korb.sectors.obstruction_set(vectors[0], 2, 2) == (0,)
+        assert korb.sectors.obstruction_set(vectors[2], 1, 1) == (0,)
+        assert structure_coefficient(vectors[0], 2, 2) == E1
+        assert structure_coefficient(vectors[2], 1, 1) == E2
+        for _ in range(4):
+            for d in vectors:
+                rings = build_sector_rings(d)
+                x, y = _small_element(d, rng), _small_element(d, rng)
+                assert star_multiply(rings, d, x, y) == _per_pair_product(rings, d, x, y)
+
+    def test_coefficients_packed_per_digit_width(self):
+        d = build_wps((1, 2, 4))
+        rings = build_sector_rings(d)
+        rng = random.Random(9)
+        for top in (9, 10**30, 9):
+            x, y = (
+                element_from_parts(
+                    d, {s: LaurentPoly({0: rng.choice((-top, top)), 2: top}) for s in range(d.ell)}
+                )
+                for _ in "xy"
+            )
+            assert star_multiply(rings, d, x, y) == _per_pair_product(rings, d, x, y)
+        # the widths differ, so some class holds c packed at two of them
+        assert max(len(entry[3]) for entry in d.products[1].values()) == 2
+
+    def test_corrupt_given_table_raises_on_every_call(self):
+        # logw[0][3] reads 1, not 3: no product may read its key
+        d = WpsData((1, 2, 4), 4, ((0, 1, 2, 1), (0, 2, 0, 2), (0, 0, 0, 0)))
+        rings = build_sector_rings(d)
+        x = KOrbElement(d.b, (parse_laurent("1 + 2u"),) * 4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="logweights are not"):
+                star_multiply(rings, d, x, x)
+
+    def test_valid_given_table_gives_the_same_products(self):
+        d = build_wps((3, 4, 5))
+        given = WpsData(d.b, d.ell, d.logw)
+        rings = build_sector_rings(d)
+        rng = random.Random(5)
+        for _ in range(10):
+            x, y = (_wild_element(d, rng, rng.randint(1, 12)) for _ in "xy")
+            assert star_multiply(rings, given, x, y) == star_multiply(rings, d, x, y)
+
+    def test_second_pass_adds_nothing(self, coefficient_calls):
+        d = build_wps((1, 2, 3, 4, 5, 6, 7))
+        rings = build_sector_rings(d)
+        rng = random.Random(7)
+        pairs = [(_small_element(d, rng), alpha(rings, d, rng.randrange(d.ell))) for _ in range(3)]
+        first = [star_multiply(rings, d, x, y) for x, y in pairs]
+        size, calls = _table_size(d), len(coefficient_calls)
+        assert [star_multiply(rings, d, x, y) for x, y in pairs] == first
+        assert (_table_size(d), len(coefficient_calls)) == (size, calls)
+        assert first == [_per_pair_product(rings, d, x, y) for x, y in pairs]
+
+
 class TestGeneratorTable:
     def test_rows_124(self, d124, rings124):
         rows = generator_table(d124)

@@ -40,8 +40,10 @@ class Mutant:
     equivalent: str = ""  # why no output can change; the tests are not run
 
 
-LAURENT, RING, SECTORS = "src/korb/laurent.py", "src/korb/ring.py", "src/korb/sectors.py"
-T_LAURENT, T_RING, T_SECTORS = "tests/test_laurent.py", "tests/test_ring.py", "tests/test_sectors.py"
+CLI, LAURENT = "src/korb/cli.py", "src/korb/laurent.py"
+RING, SECTORS = "src/korb/ring.py", "src/korb/sectors.py"
+T_CLI, T_LAURENT = "tests/test_cli.py", "tests/test_laurent.py"
+T_RING, T_SECTORS = "tests/test_ring.py", "tests/test_sectors.py"
 
 MUTANTS = (
     Mutant(
@@ -107,6 +109,47 @@ MUTANTS = (
     Mutant(
         "euler_product loses a factor",
         SECTORS, "for w in weights:", "for w in weights[1:]:", (T_SECTORS,),
+    ),
+    Mutant(
+        "the product table is shared by weight vectors of one ell and length",
+        SECTORS, "return {}, {}, bias, sum(tops)",
+        "return (*globals().setdefault((self.ell, len(self.b)), ({}, {})), bias, sum(tops))",
+        (T_RING,),
+    ),
+    Mutant(
+        "the product table's classes are shared by weight vectors of one ell",
+        SECTORS, "return {}, {}, bias, sum(tops)",
+        "return {}, globals().setdefault(self.ell, {}), bias, sum(tops)", (T_RING,),
+    ),
+    Mutant(
+        "star_multiply stores each new carry key under the next new sector",
+        RING, "keys.update(zip(new, carry_keys(d, new)[0]))",
+        "keys.update(zip(new[1:] + new[:1], carry_keys(d, new)[0]))", (T_RING,),
+    ),
+    Mutant(
+        "star_multiply reuses a packed coefficient at any digit width",
+        RING, "pc = packed.get(w)", "pc = next(iter(packed.values()), None)", (T_RING,),
+    ),
+    Mutant(
+        "star_multiply asks structure_coefficient again for every pair",
+        RING, "if key not in classes:", "if True:", (T_RING,),
+    ),
+    Mutant(
+        "_decimal's pattern accepts an underscore between digits",
+        CLI, r'r"\s*[+-]?[0-9]+\s*"', r'r"\s*[+-]?[0-9_]+\s*"', (T_CLI,),
+    ),
+    Mutant(
+        "a failing verify exits 0",
+        CLI, "return body, 0 if rep.passed else 1", "return body, 0", (T_CLI,),
+    ),
+    Mutant(
+        "a ValueError from a command exits 1, the status of a failing verify",
+        CLI, 'print(f"error: {exc}", file=sys.stderr)\n        return 2',
+        'print(f"error: {exc}", file=sys.stderr)\n        return 1', (T_CLI,),
+    ),
+    Mutant(
+        "verify's text output drops its failure lines",
+        CLI, 'body += "".join(f"\\n  - {f}" for f in rep.failures)', "pass", (T_CLI,),
     ),
     Mutant(
         "reduce's dense bound is 128 lower",
