@@ -130,9 +130,9 @@ def _concat(*columns):
 
 def _by_ring(rings, cell):
     """cell(s, r) for each sector's ring r in turn, made once per ring
-    object from the first sector s that holds it: sectors that share a
-    ring share a class, and so a fixed set.  Keyed by identity: hashing a
-    SectorRing rehashes its generator."""
+    object from the first sector s that holds it: build_sector_rings
+    shares a ring only between sectors with one fixed set.  Keyed by
+    identity: hashing a SectorRing rehashes its generator."""
     ids = list(map(id, rings))
     firsts = map(ids.index, dict.fromkeys(ids))
     cells = {ids[s]: cell(s, rings[s]) for s in firsts}

@@ -32,9 +32,9 @@ from .sectors import (
 
 @dataclass(frozen=True)
 class SectorRing:
-    """Quotient ring data shared by the sectors s with one gcd(s, ell); rank
-    0 marks a collapsed sector (generator 1, zero ring).  fixed holds the
-    class's fixed weights b_F, whose Euler classes make gen; a ring made
+    """Quotient ring data shared by the sectors s with one fixed set F; rank
+    0 marks a collapsed sector (F empty: generator 1, zero ring).  fixed
+    holds F's weights b_F, whose Euler classes make gen; a ring made
     without them is reduced by the dense pass alone."""
 
     gen: LaurentPoly
@@ -126,9 +126,10 @@ class VerifyReport:
 
 
 def build_sector_rings(d: WpsData) -> tuple[SectorRing, ...]:
-    """The ring of each sector s, shared by its class g = gcd(s, ell) % ell
-    and built once from sector g: s fixes coordinate k exactly when ell/b_k
-    divides gcd(s, ell), so a class has one fixed set, generator and rank.
+    """The ring of each sector s, an ell-long tuple: the generator and rank
+    depend on s only through its fixed set, so by_class builds one ring
+    per fixed set, from the least sector g that has it, and every sector
+    with that set shares the object.
 
     >>> from korb.sectors import build_wps
     >>> rings = build_sector_rings(build_wps((1, 2, 4)))

@@ -5,16 +5,17 @@ stabilizer group of order ell.  The {0,1} exponents twisting sector
 products are the carries of r_k(s) = (b_k * s) mod ell, computed from the
 weights and read by carry_keys.  Which coordinates the sector s fixes,
 and so the kernel generator of its quotient ring, follow from the divisor
-rule: s fixes k exactly when ell/b_k divides gcd(s, ell), so they depend
-only on that gcd.
+rule: s fixes k exactly when m_k = ell/b_k divides s.  So only the
+multiples of some m_k, at most sum b_k sectors, fix anything, and the
+sectors with one fixed set share one ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import count, repeat
-from math import gcd, lcm
+from itertools import count, filterfalse, repeat
+from math import lcm
 from operator import lshift
 
 from .laurent import LaurentPoly, euler_class
@@ -75,18 +76,36 @@ def check_sector(d: WpsData, s: int) -> None:
         raise ValueError(f"sector index {s} out of range [0, {d.ell})")
 
 
-def by_class(d: WpsData, make):
-    """make(g) for each sector s in turn, g = gcd(s, ell) % ell its class,
-    made once per class and shared by the class's sectors.  The fixed set,
-    and so the kernel generator and rank, of s depend on s only through g:
-    one class per divisor of ell.
+def by_class(d: WpsData, make) -> tuple:
+    """The ell-long sequence of make(g) over the sectors s in turn, g the
+    least sector with s's fixed set: made once per fixed set, which decides
+    the kernel generator and rank, and shared by the sectors that have it.
+    s fixes k exactly when m_k = ell/b_k divides s, so one stride of m_k per
+    weight, sum b_k steps in all, reaches every sector that fixes something;
+    every other sector fixes nothing, and the least of them represents the
+    empty set.
 
-    >>> list(by_class(build_wps((1, 2, 4)), lambda g: g))
-    [0, 1, 2, 1]
+    >>> by_class(build_wps((1, 2, 4)), lambda g: g)
+    (0, 1, 2, 1)
     """
-    classes = [0, *map(gcd, range(1, d.ell), repeat(d.ell))]
-    made = {g: make(g) for g in set(classes)}
-    return map(made.__getitem__, classes)
+    ell = d.ell
+    masks = {}
+    for k, w in enumerate(d.b):
+        for s in range(0, ell, ell // w):
+            masks[s] = masks.get(s, 0) | 1 << k
+    # the least sector that fixes nothing gets the empty mask 0; when every
+    # sector fixes something, the default is sector 0, which is already live
+    masks.setdefault(next(filterfalse(masks.__contains__, range(ell)), 0), 0)
+    # a sector first enters masks in the rising stride of the lowest
+    # coordinate it fixes, so each mask's least sector comes first in order
+    made = {}
+    for s, mask in masks.items():
+        if mask not in made:
+            made[mask] = make(s)
+    out = [made.get(0)] * ell
+    for s, mask in masks.items():
+        out[s] = made[mask]
+    return tuple(out)
 
 
 def fixed_set(d: WpsData, s: int) -> tuple[int, ...]:

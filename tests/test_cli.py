@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -758,21 +759,34 @@ class TestOneFixedSetPerClass:
         calls.clear()
         code, out, err = run(command, "8,9,11", "--format", fmt)
         assert (code, err) == (0, "")
-        # 792 = 2^3 * 3^2 * 11 has 24 divisors; one call per sector is 792
-        assert len(calls) - own <= 24
+        # the 792 sectors have 5 fixed sets: none, {8}, {9}, {11} and all
+        assert len(calls) - own == 5
 
 
 class TestOneClassWalk:
     @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
     @pytest.mark.parametrize("command", ["kernels", "torsion", "rank"])
     def test_each_sector_class_read_once(self, monkeypatch, command, fmt):
-        # a sector's class is gcd(s, ell) % ell; sector 0's needs no gcd
-        calls = []
-        counting = lambda a, b: calls.append(a) or math.gcd(a, b)
-        monkeypatch.setattr(korb.sectors, "gcd", counting)
+        # a sector's class is its fixed set, found by striding over the
+        # multiples of each ell/b_k with no gcd; each walk makes one value
+        # per fixed set, from the least sector that has it
+        assert not hasattr(korb.sectors, "gcd")
+        gcds, walks = [], []
+        for module in (korb.cli, korb.ring):
+            monkeypatch.setattr(module, "gcd", lambda a, b: gcds.append(a) or math.gcd(a, b))
+        real = korb.sectors.by_class
+
+        def walk(d, make):
+            walks.append([])
+            return real(d, lambda g: walks[-1].append(g) or make(g))
+
+        monkeypatch.setattr(korb.cli, "by_class", walk)
+        monkeypatch.setattr(korb.ring, "by_class", walk)
         code, out, err = run(command, "8,9,11", "--format", fmt)
         assert (code, err) == (0, "")
-        assert sorted(calls) == list(range(1, 792))
+        assert gcds == []
+        # all three coordinates, none, {11}, {9} and {8}
+        assert walks and all(sorted(w) == [0, 1, 72, 88, 99] for w in walks)
 
 
 class TestLogweightTableOnlyWhereRead:
@@ -1276,7 +1290,10 @@ class TestSubprocess:
         assert re.fullmatch(stderr, proc.stderr), proc.stderr
 
     def test_large_ell_answers_under_memory_cap(self):
-        # ell = 1009 * 1013 sectors, which share the rings of ell's 4 divisors
+        # ell = 1009 * 1013 sectors, which share the rings of 4 fixed sets;
+        # by_class walks only the 2,022 sectors that fix a coordinate, so
+        # the answer comes within 1 s, the interpreter's start included
+        start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "korb.cli", "rank", "1009,1013"],
             capture_output=True,
@@ -1284,7 +1301,9 @@ class TestSubprocess:
             timeout=10,
             preexec_fn=cap_address_space,
         )
+        seconds = time.perf_counter() - start
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2044250\n", "")
+        assert seconds < 1
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     @pytest.mark.parametrize(

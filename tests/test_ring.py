@@ -1,6 +1,5 @@
 import random
 import time
-from math import gcd
 
 import pytest
 from hypothesis import given
@@ -37,6 +36,7 @@ from korb.ring import (
 from korb.sectors import (
     WpsData,
     build_wps,
+    fixed_set,
     fixed_weights,
     kernel_generator,
     structure_coefficient,
@@ -96,13 +96,12 @@ class TestBuildSectorRings:
     )
     def test_one_shared_ring_per_gcd_class(self, b):
         d = build_wps(b)
-        rings = build_sector_rings(d)
+        rings, least = build_sector_rings(d), {}
         assert len(rings) == d.ell
         for s, r in enumerate(rings):
             assert r.rank == sum(w for w in b if w * s % d.ell == 0)
-            assert r is rings[gcd(s, d.ell) % d.ell]
-        classes = {gcd(s, d.ell) for s in range(d.ell)}
-        assert len({id(r) for r in rings}) == len(classes)
+            assert r is rings[least.setdefault(fixed_set(d, s), s)]
+        assert len({id(r) for r in rings}) == len(least)
 
     @pytest.mark.parametrize("b", [(1, 2, 4), (2, 2, 3), (8, 9, 11)])
     def test_fixed_weights_per_class(self, b):
@@ -124,8 +123,8 @@ class TestBuildSectorRings:
             korb.sectors, "fixed_set", lambda d, s: calls.append(s) or real(d, s)
         )
         build_sector_rings(build_wps((8, 9, 11)))
-        # 792 = 2^3 * 3^2 * 11 has 4 * 3 * 2 divisors
-        assert len(calls) == 24
+        # the 792 sectors have 5 fixed sets: none, {8}, {9}, {11} and all
+        assert len(calls) == 5
 
     def test_inverse_of_u(self, rings124):
         u_inv = LaurentPoly.monomial(-1)

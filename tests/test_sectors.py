@@ -1,9 +1,11 @@
 import random
 import tracemalloc
 from itertools import repeat
-from math import gcd, lcm
+from math import lcm
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from korb.laurent import LaurentPoly, euler_class, parse_laurent
 from korb.ring import (
@@ -346,9 +348,23 @@ class TestKernelGenerator:
             assert kernel_generator(d, 0) == euler_class(1) ** (n + 1)
 
 
+def least_sectors(d):
+    """For each sector s, the least sector with fixed_set(d, s), found by
+    calling fixed_set on every sector."""
+    least = {}
+    return [least.setdefault(fixed_set(d, s), s) for s in range(d.ell)]
+
+
+# 1 to 4 weights in 1..12 with ell = lcm(b) <= ELL_MAX
+ELL_MAX = 2000
+WEIGHT_VECTORS = st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple).filter(
+    lambda b: lcm(*b) <= ELL_MAX
+)
+
+
 class TestByClass:
     @pytest.mark.parametrize(
-        "b, classes", [((1, 2, 4), 3), ((8, 9, 11), 24), ((1009, 1013), 4)]
+        "b, classes", [((1, 2, 4), 3), ((8, 9, 11), 5), ((1009, 1013), 4)]
     )
     def test_one_make_per_class(self, b, classes):
         d = build_wps(b)
@@ -359,11 +375,29 @@ class TestByClass:
             made[g] = [g]  # a new object per call
             return made[g]
 
-        out = list(by_class(d, make))
+        out = by_class(d, make)
+        least = least_sectors(d)
         assert len(made) == classes
-        assert sorted(made) == sorted(g % d.ell for g in range(1, d.ell + 1) if d.ell % g == 0)
+        assert sorted(made) == sorted(set(least))
         assert len(out) == d.ell
-        assert all(x is made[gcd(s, d.ell) % d.ell] for s, x in enumerate(out))
+        assert all(x is made[g] for x, g in zip(out, least))
+
+    # repeated weights; in (1,), (1, 1) and (2, 2) no sector is collapsed
+    @given(WEIGHT_VECTORS)
+    @example((1,))
+    @example((1, 1))
+    @example((2, 2))
+    @example((2, 2, 3))
+    @example((4, 6))
+    @example((8, 9, 11))
+    def test_classes_are_fixed_sets(self, b):
+        d = build_wps(b)
+        least = least_sectors(d)
+        made = []
+        assert list(by_class(d, lambda g: made.append(g) or g)) == least
+        assert sorted(made) == sorted(set(least))
+        ranks = [sum(b[k] for k in fixed_set(d, s)) for s in range(d.ell)]
+        assert [r.rank for r in build_sector_rings(d)] == ranks
 
 
 def age_factors(b, s, t):

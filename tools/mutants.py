@@ -107,6 +107,23 @@ MUTANTS = (
         SECTORS, "for k, w in enumerate(d.b) if", "for k, w in enumerate(d.b[:-1]) if", (T_SECTORS,),
     ),
     Mutant(
+        "by_class's strides start past sector 0",
+        SECTORS, "range(0, ell, ell // w)", "range(ell // w, ell, ell // w)", (T_SECTORS,),
+    ),
+    Mutant(
+        "by_class makes each fixed set's value from the last sector that reaches it",
+        SECTORS, "    made = {}\n    for s, mask in masks.items():",
+        "    made = {}\n    for s, mask in reversed(masks.items()):", (T_SECTORS,),
+    ),
+    Mutant(
+        "by_class gives the sectors that fix nothing sector 0's value",
+        SECTORS, "out = [made.get(0)] * ell", "out = [made[masks[0]]] * ell", (T_SECTORS,),
+    ),
+    Mutant(
+        "by_class files coordinate k under bit k % 2",
+        SECTORS, "masks.get(s, 0) | 1 << k", "masks.get(s, 0) | 1 << k % 2", (T_SECTORS,),
+    ),
+    Mutant(
         "euler_product loses a factor",
         SECTORS, "for w in weights:", "for w in weights[1:]:", (T_SECTORS,),
     ),
