@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator
 from itertools import repeat
 from math import gcd
 from operator import floordiv
@@ -64,25 +65,23 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 # form otherwise; JSON fields use the text form.
 
 
-def _lowest_terms(nums, ell: int, form: str, named: dict) -> list[str]:
-    """For each a in the sequence nums, 0 <= a < ell: named[a] if given,
-    else form.format(p, q) with a/ell = p/q in lowest terms."""
+def _residues(nums, ell: int, latex: bool) -> tuple[list[str], list[str]]:
+    """(zetas, fractions) for each a in the sequence nums, 0 <= a < ell:
+    the root of unity e^(2 pi i a/ell), with 1, -1, i and -i by name, and
+    the fraction a/ell, both in lowest terms p/q.  One gcd g and one
+    string p per a serve both, and one string q = ell/g per divisor g."""
     gs = list(map(gcd, nums, repeat(ell)))
-    fracs = map(form.format, map(floordiv, nums, gs), map(floordiv, repeat(ell), gs))
-    return list(map(named.get, nums, fracs))
-
-
-def _zetas(nums, ell: int, latex: bool) -> list[str]:
-    """The roots of unity e^(2 pi i s/ell), s in nums; 1, -1, i, -i by name."""
+    ps = list(map(str, map(floordiv, nums, gs)))
+    qs = list(map({g: str(ell // g) for g in set(gs)}.__getitem__, gs))
+    if latex:
+        zetas = _concat(repeat("e^{2\\pi i\\,"), ps, repeat("/"), qs, repeat("}"))
+        fracs = _concat(repeat("\\frac{"), ps, repeat("}{"), qs, repeat("}"))
+    else:
+        fracs = list(_concat(ps, repeat("/"), qs))
+        zetas = _concat(repeat("e^(2*pi*i*"), fracs, repeat(")"))
     names = ((0, 1, "1"), (1, 2, "-1"), (1, 4, "i"), (3, 4, "-i"))
     named = {p * ell // q: z for p, q, z in names if ell % q == 0}
-    form = "e^{{2\\pi i\\,{}/{}}}" if latex else "e^(2*pi*i*{}/{})"
-    return _lowest_terms(nums, ell, form, named)
-
-
-def _fractions(nums, ell: int, latex: bool) -> list[str]:
-    """The logweights a/ell, a in nums."""
-    return _lowest_terms(nums, ell, "\\frac{{{}}}{{{}}}" if latex else "{}/{}", {0: "0"})
+    return list(map(named.get, nums, zetas)), list(map({0: "0"}.get, nums, fracs))
 
 
 def _fixed(ws: tuple[int, ...], n: int, latex: bool) -> str:
@@ -128,6 +127,25 @@ def _concat(*columns):
     return map("".join, zip(*columns))
 
 
+def _row(head: str, sep: str, *columns) -> str:
+    """The lines head + a[i] + b[i] + ... of the columns a, b, ..., joined
+    by sep: the head is joined in as part of each separator, so each line
+    is made by one join in C."""
+    return head + (sep + head).join(_concat(*columns))
+
+
+def _joined(first: str, rows, sep: str, last: str):
+    """The chunks of first + sep.join(rows) + last, in turn: first, each
+    row with sep before all but the first, then last.  main writes each
+    chunk as it is made, so no more than one row is held at a time."""
+    yield first
+    for i, row in enumerate(rows):
+        if i:
+            yield sep
+        yield row
+    yield last
+
+
 def _by_ring(rings, cell):
     """cell(s, r) for each sector's ring r in turn, made once per ring
     object from the first sector s that holds it: build_sector_rings
@@ -147,20 +165,28 @@ def _header_lines(d: WpsData) -> list[str]:
     return [f"weights: {','.join(map(str, d.b))}", f"ell: {d.ell}"]
 
 
-def _json_doc(kind: str, d: WpsData, **fields) -> str:
+def _json_doc(kind: str, d: WpsData, **fields):
     """json.dumps(doc, indent=2) of {kind, weights, ell, **fields}.
 
     Every list field is given as the laid-out text of its items: strings
     of one or more items, each indented by four spaces, joined by ",\\n".
     So a list of ell or ell^2/2 objects is built from row templates, with
     no dict per object.  Fields and rows are joined once, by the ",\\n"
-    that separates both.  Every other field is a scalar.
+    that separates both.  One list field may instead be a non-empty
+    iterator of such strings, made as they are read: the document then
+    comes back as the chunks of _joined, one per string of that field,
+    and is never held whole.  Every other field is a scalar.
     """
     doc = {"kind": kind, "weights": [f"    {w}" for w in d.b], "ell": d.ell, **fields}
     out: list[str] = []
+    rows = None
     for key, v in doc.items():
         name = f"  {json.dumps(key)}: "
-        if not isinstance(v, list):
+        if isinstance(v, Iterator):
+            # the fields so far open the lazy list; the rest close it
+            out.append(name + "[\n")
+            head, rows, out = out, v, ["\n  ]"]
+        elif not isinstance(v, list):
             out.append(name + json.dumps(v))
         elif not v:
             out.append(name + "[]")
@@ -168,16 +194,21 @@ def _json_doc(kind: str, d: WpsData, **fields) -> str:
             out += v
             out[-len(v)] = name + "[\n" + v[0]
             out[-1] += "\n  ]"
-    out[0] = "{\n" + out[0]
     out[-1] += "\n}"
-    return ",\n".join(out)
+    if rows is None:
+        out[0] = "{\n" + out[0]
+        return ",\n".join(out)
+    return _joined("{\n" + ",\n".join(head), rows, ",\n", ",\n".join(out))
 
 
 def _json_members(**members) -> str:
     """The text ',\\n      "key": value' of members of an object in a list
-    field, laid out at that depth as json.dumps(indent=2) does."""
+    field, laid out at that depth as json.dumps(indent=2) does.  Only a
+    list needs indent, which takes the pure-Python encoder; a scalar goes
+    through the C one."""
     return "".join(
-        f",\n      {json.dumps(k)}: " + json.dumps(v, indent=2).replace("\n", "\n      ")
+        f",\n      {json.dumps(k)}: "
+        + json.dumps(v, indent=2 if isinstance(v, list) else None).replace("\n", "\n      ")
         for k, v in members.items()
     )
 
@@ -189,43 +220,43 @@ def _json_rows(sectors, *columns) -> list[str]:
     return list(_concat(head, map(str, sectors), *columns, repeat("\n    }")))
 
 
-def _table_rows(d: WpsData) -> list[str]:
-    """tableI, one string per row s: its pairs s <= t in one fixed
-    template, each class's coefficient dumped once."""
+def _table_rows(d: WpsData):
+    """tableI, one string per row s, made as it is read: its pairs s <= t
+    in one fixed template, each class's coefficient dumped once."""
     heads = [f'    {{\n      "s": {s},\n      "t": ' for s in range(d.ell)]
     mids = [f'{t},\n      "target": ' for t in range(d.ell)]
     names = [f'{tgt},\n      "coeff": ' for tgt in range(d.ell)]
     coeff = lambda ws: json.dumps(str(euler_product(ws))) + "\n    }"
-    return [
-        ",\n".join(_concat(repeat(heads[s]), mids[s:], targets, coeffs))
+    return (
+        _row(heads[s], ",\n", mids[s:], targets, coeffs)
         for s, coeffs, targets in sector_rows(d, 0, coeff, names)
-    ]
+    )
 
 
 def cmd_chart(d: WpsData, args: argparse.Namespace) -> str:
     fmt, n, sectors = args.format, len(d.b), range(d.ell)
     latex = fmt == "latex"
-    zetas = _zetas(sectors, d.ell, latex)
     # a logweight b_k*s mod ell over ell is one of ell residues
-    fracs = _fractions(sectors, d.ell, latex)
+    zetas, fracs = _residues(sectors, d.ell, latex)
     logws = [map(fracs.__getitem__, row) for row in d.logw]
+    labels = list(map(str, sectors))
     if fmt == "json":
         # the text forms of zetas and logweights need no JSON escapes
         rows = _json_rows(
-            sectors,
+            labels,
             repeat(',\n      "zeta": "'), zetas, repeat('"'),
             by_class(d, lambda g: _json_members(fixed=list(fixed_set(d, g)))),
             repeat(',\n      "logweights": [\n        "'),
             map('",\n        "'.join, zip(*logws)),
             repeat('"\n      ],\n      "generator": "alpha_'),
-            map(str, sectors), repeat('"'),
+            labels, repeat('"'),
         )
         return _json_doc("chart", d, sectors=rows)
     loci = by_class(d, lambda g: _fixed(fixed_weights(d, g), n, latex))
     if latex:
         cols = "c||" + "|".join("c" * d.ell) + "|"
         rows = [
-            "s & " + " & ".join(map(str, sectors)) + " \\\\ \\hline \\hline",
+            "s & " + " & ".join(labels) + " \\\\ \\hline \\hline",
             "\\zeta_s & " + " & ".join(zetas) + " \\\\ \\hline",
             "\\text{fixed locus} & " + " & ".join(loci) + " \\\\ \\hline",
         ]
@@ -236,9 +267,9 @@ def cmd_chart(d: WpsData, args: argparse.Namespace) -> str:
         body = "\n".join(rows)
         return f"\\begin{{array}}{{{cols}}}\n{body}\n\\end{{array}}"
     lines = _concat(
-        repeat("sector "), map(str, sectors), repeat(": zeta = "), zetas,
+        repeat("sector "), labels, repeat(": zeta = "), zetas,
         repeat(", fixed = "), loci, repeat(", logweights = ("),
-        map(", ".join, zip(*logws)), repeat("), generator = alpha_"), map(str, sectors),
+        map(", ".join, zip(*logws)), repeat("), generator = alpha_"), labels,
     )
     return "\n".join([*_header_lines(d), *lines])
 
@@ -249,37 +280,39 @@ def _display_rows(d: WpsData, render, names):
     return sector_rows(d, 1 if d.ell > 1 else 0, render, names)
 
 
-def _pair_lines(d: WpsData, heads, mids, render, names) -> list[str]:
-    """One string per displayed row s: for t = s..ell-1, the lines
-    heads[s] + mids[t] + render(ws) + names[target], ws the pair's class."""
-    return [
-        "\n".join(_concat(repeat(heads[s]), mids[s:], classes, targets))
+def _pair_lines(d: WpsData, heads, mids, render, names):
+    """One string per displayed row s, made as it is read: for t =
+    s..ell-1, the lines heads[s] + mids[t] + render(ws) + names[target],
+    ws the pair's class."""
+    return (
+        _row(heads[s], "\n", mids[s:], classes, targets)
         for s, classes, targets in _display_rows(d, render, names)
-    ]
+    )
 
 
-def cmd_table(d: WpsData, args: argparse.Namespace) -> str:
+def cmd_table(d: WpsData, args: argparse.Namespace):
     fmt = args.format
     if fmt == "json":
         return _json_doc("table", d, tableI=_table_rows(d))
     prefix = _prefixes(fmt == "latex")
     if fmt == "latex":
         alphas = _subs("\\alpha", d.ell)
+        # the rows _display_rows gives: all but alpha_0, unless it is alone
+        shown = alphas[1:] or alphas
+        cols = "c||" + "|".join("c" * len(shown)) + "|"
+        header = " & " + " & ".join(shown) + " \\\\ \\hline \\hline"
         # the cells left of the diagonal stay empty
-        rows = [
+        rows = (
             alphas[s] + " & " * (i + 1) + " & ".join(_concat(classes, targets))
             + " \\\\ \\hline"
             for i, (s, classes, targets) in enumerate(_display_rows(d, prefix, alphas))
-        ]
-        header = " & " + " & ".join(alphas[-len(rows):])
-        lines = [header + " \\\\ \\hline \\hline"] + rows
-        cols = "c||" + "|".join("c" * len(rows)) + "|"
-        body = "\n".join(lines)
-        return f"\\begin{{array}}{{{cols}}}\n{body}\n\\end{{array}}"
+        )
+        return _joined(f"\\begin{{array}}{{{cols}}}\n{header}\n", rows, "\n", "\n\\end{array}")
     names = [f"alpha_{s}" for s in range(d.ell)]
     heads = [f"{a} * " for a in names]
     mids = [f"{a} = " for a in names]
-    return "\n".join(_header_lines(d) + _pair_lines(d, heads, mids, prefix, names))
+    header = "\n".join(_header_lines(d)) + "\n"
+    return _joined(header, _pair_lines(d, heads, mids, prefix, names), "\n", "")
 
 
 def cmd_kernels(d: WpsData, args: argparse.Namespace) -> str:
@@ -302,7 +335,7 @@ def cmd_kernels(d: WpsData, args: argparse.Namespace) -> str:
     return "\n".join([*_header_lines(d), *lines])
 
 
-def cmd_present(d: WpsData, args: argparse.Namespace) -> str:
+def cmd_present(d: WpsData, args: argparse.Namespace):
     fmt = args.format
     if fmt == "json":
         gens = by_class(d, lambda g: _json_members(gen=str(kernel_generator(d, g))))
@@ -316,23 +349,19 @@ def cmd_present(d: WpsData, args: argparse.Namespace) -> str:
         heads = [f"{a} " for a in alphas]
         mids = [f"{a} &= " for a in alphas]
         ends = [f"{a} \\\\" for a in alphas]
-        lines = ["\\begin{align*}"] + _pair_lines(d, heads, mids, prefix, ends)
         prods = by_class(d, lambda g: _factors(fixed_weights(d, g), True) + "\\,")
-        lines += _concat(prods, alphas, repeat(" &= 0 \\\\"))
-        lines.append("\\alpha_0 &= 1")
-        lines.append("\\end{align*}")
-        return "\n".join(lines)
+        tail = [*_concat(prods, alphas, repeat(" &= 0 \\\\")), "\\alpha_0 &= 1", "\\end{align*}"]
+        rows = _pair_lines(d, heads, mids, prefix, ends)
+        return _joined("\\begin{align*}\n", rows, "\n", "\n" + "\n".join(tail))
     names = [f"alpha_{s}" for s in range(d.ell)]
     heads = [f"  {a} " for a in names]
     mids = [f"{a} - " for a in names]
-    lines = _header_lines(d)
-    lines.append("generators: " + ", ".join(names))
-    lines.append("I relations:")
-    lines += _pair_lines(d, heads, mids, prefix, names)
-    lines.append("J relations:")
-    lines += _concat(by_class(d, lambda g: "  " + prefix(fixed_weights(d, g))), names)
-    lines.append("unit relation: alpha_0 - 1")
-    return "\n".join(lines)
+    head = [*_header_lines(d), "generators: " + ", ".join(names), "I relations:"]
+    tail = ["J relations:"]
+    tail += _concat(by_class(d, lambda g: "  " + prefix(fixed_weights(d, g))), names)
+    tail.append("unit relation: alpha_0 - 1")
+    rows = _pair_lines(d, heads, mids, prefix, names)
+    return _joined("\n".join(head) + "\n", rows, "\n", "\n" + "\n".join(tail))
 
 
 def cmd_rank(d: WpsData, args: argparse.Namespace) -> str:
@@ -519,18 +548,21 @@ def main(argv=None) -> int:
     try:
         d = build_wps(_parse_weights(args.weights))
         result = args.handler(d, args)
+        body, code = result if isinstance(result, tuple) else (result, 0)
+        try:
+            # a string is the whole output; chunks are made as they are
+            # written, so a ValueError can still come after some of them
+            sys.stdout.writelines((body,) if isinstance(body, str) else body)
+            # flush now, so a closed pipe raises here; the unwritten rest
+            # then goes to /dev/null, so the exit flush cannot raise
+            print(flush=True)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    body, code = result if isinstance(result, tuple) else (result, 0)
-    try:
-        # flush now, so a closed pipe raises here; the unwritten rest then
-        # goes to /dev/null, so the interpreter's exit flush cannot raise
-        print(body, flush=True)
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
     return code
 
 

@@ -25,6 +25,7 @@ from .sectors import (
     euler_product,
     kernel_generator,
     obstruction_exponent,
+    residue_row,
     sector_pairs,
     structure_coefficient,
 )
@@ -435,7 +436,7 @@ def check_exponents(d: WpsData) -> tuple[int, tuple[str, ...]]:
         failures.append(f"{len(d.logw)} logweight rows for {len(d.b)} weights")
     checks = 0
     for k, (w, row) in enumerate(zip(d.b, d.logw)):
-        r = [w * s % d.ell for s in range(d.ell)]
+        r = residue_row(w, d.ell)
         if list(row) == r:
             checks += d.ell * (d.ell + 3) // 2
             continue

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count, filterfalse, repeat
 from math import lcm
-from operator import lshift
+from operator import add, and_, lshift
 
 from .laurent import LaurentPoly, euler_class
 
@@ -46,7 +46,7 @@ class WpsData:
     def logw(self) -> tuple[tuple[int, ...], ...]:
         if self.table is not None:
             return self.table
-        return tuple(tuple(w * s % self.ell for s in range(self.ell)) for w in self.b)
+        return tuple(tuple(residue_row(w, self.ell)) for w in self.b)
 
     @cached_property
     def products(self) -> tuple[dict, dict, int, int]:
@@ -69,6 +69,16 @@ def build_wps(b) -> WpsData:
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise ValueError(f"weight b_{k} must be a positive integer, got {w!r}")
     return WpsData(bt, lcm(*bt))
+
+
+def residue_row(w: int, ell: int, shift: int = 0) -> list[int]:
+    """[(w * s % ell) << shift for s in range(ell)], w a divisor of ell: the
+    multiples of w below ell, repeated w times, made in C.
+
+    >>> residue_row(2, 6)
+    [0, 2, 4, 0, 2, 4]
+    """
+    return list(range(0, ell << shift, w << shift)) * w
 
 
 def check_sector(d: WpsData, s: int) -> None:
@@ -135,20 +145,22 @@ def obstruction_exponent(d: WpsData, k: int, s: int, t: int) -> int:
     return e
 
 
-def carry_keys(d: WpsData, sectors) -> tuple[list[int], int, tuple[int, ...]]:
+def carry_keys(d: WpsData, sectors=None) -> tuple[list[int], int, tuple[int, ...]]:
     """(keys, bias, tops) that read a pair's carries in one add and one AND.
 
     keys[i] packs r_k(s) = b_k*s mod ell, s the i-th given sector, in field k
-    of f = bits of ell + 1 bits.  With the bias 2^(f-1) - ell per field,
-    field k of bias + key_s + key_t reaches its top bit tops[k] exactly when
-    e_k(s, t) = [r_k(s) + r_k(t) >= ell] is 1, and never overflows.  When d
-    was given a logweight table, ValueError unless it has one ell-long row
-    per weight and each given sector's column holds these residues.
+    of f = bits of ell + 1 bits; with no sectors given, keys[s] for every
+    sector s < ell, summed in C from one shifted residue_row per weight.
+    With the bias 2^(f-1) - ell per field, field k of bias + key_s + key_t
+    reaches its top bit tops[k] exactly when e_k(s, t) = [r_k(s) + r_k(t)
+    >= ell] is 1, and never overflows.  When d was given a logweight table,
+    ValueError unless it has one ell-long row per weight and each given
+    sector's column holds these residues.
     star_multiply keeps the keys it asks for in d.products, so each sector
     is packed and checked here once per WpsData.
 
     >>> d = build_wps((1, 2, 4))
-    >>> keys, bias, tops = carry_keys(d, range(d.ell))
+    >>> keys, bias, tops = carry_keys(d)
     >>> key = bias + keys[1] + keys[3] & sum(tops)
     >>> [k for k, top in enumerate(tops) if key & top]
     [0, 1]
@@ -161,6 +173,11 @@ def carry_keys(d: WpsData, sectors) -> tuple[list[int], int, tuple[int, ...]]:
     shifts = range(0, f * len(b), f)
     tops = tuple(map((1 << f - 1).__lshift__, shifts))
     bias = sum(tops) - sum(map(ell.__lshift__, shifts))
+    if sectors is None:
+        if table is not None and list(map(list, table)) != list(map(residue_row, b, repeat(ell))):
+            raise ValueError(corrupt)
+        rows = map(residue_row, b, repeat(ell), shifts)
+        return list(map(sum, zip(*rows))), bias, tops
     keys = []
     for s in sectors:
         column = [w * s % ell for w in b]
@@ -177,9 +194,10 @@ def sector_rows(d: WpsData, first: int, render=None, names=None):
     classes yields render(ws), ws the pair's obstructed weights (ws itself
     by default), and targets is names[(s + t) % ell] (the sector by
     default), a slice of one doubled list.  classes is C-level maps over
-    the carry_keys list: one add and one AND per pair give its class key,
-    which a dict looks up; its __missing__ decodes and renders each of the
-    at most 2^(n+1) classes once per call.  So a caller builds a row with
+    the carry_keys list: one add and one AND per pair, by operator.add and
+    operator.and_ (cheaper to call than bound int methods), give its class
+    key, which a dict looks up; its __missing__ decodes and renders each of
+    the at most 2^(n+1) classes once per call.  So a caller builds a row with
     map and str.join, with no Python frame per pair.  ValueError when d
     was given a logweight table that is not b_k*s mod ell throughout
     (carry_keys checks it).
@@ -189,7 +207,7 @@ def sector_rows(d: WpsData, first: int, render=None, names=None):
     [(2, [(1,), (1,)], [0, 1]), (3, [(1, 2)], [2])]
     """
     ell = d.ell
-    keys, bias, tops = carry_keys(d, range(ell))
+    keys, bias, tops = carry_keys(d)
     high = sum(tops)
 
     class Classes(dict):
@@ -201,7 +219,7 @@ def sector_rows(d: WpsData, first: int, render=None, names=None):
     lookup = Classes().__getitem__
     doubled = list(range(ell) if names is None else names) * 2
     for s in range(first, ell):
-        classes = map(lookup, map(high.__and__, map((bias + keys[s]).__add__, keys[s:])))
+        classes = map(lookup, map(and_, repeat(high), map(add, repeat(bias + keys[s]), keys[s:])))
         # (s + t) % ell for t = s..ell-1 is 2s..s+ell-1 in the doubled list
         yield s, classes, doubled[2 * s : s + ell]
 

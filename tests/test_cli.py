@@ -830,17 +830,21 @@ class TestLogweightTableOnlyWhereRead:
 class TestTableMemory:
     def test_text_table_8_9_11_is_joined_a_row_at_a_time(self):
         # the output is 14 MiB; one string per pair line peaked at 42-45 MiB
-        # under tracemalloc (CPython 3.10-3.13), one string per row at 28 MiB
+        # under tracemalloc (CPython 3.10-3.13), the whole output joined
+        # from one string per row at 28 MiB.  Streamed a row at a time, the
+        # chunks consumed and dropped, it peaks at 0.37 MiB (CPython 3.11):
+        # the ell-long name, head, key and target lists, and one row of
+        # up to 791 lines, about 32 KiB, with the lines it is joined from
         d = build_wps((8, 9, 11))
         args = argparse.Namespace(format="text")
         tracemalloc.start()
         try:
-            out = korb.cli.cmd_table(d, args)
+            newlines = sum(chunk.count("\n") for chunk in korb.cli.cmd_table(d, args))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.count("\n") == 2 + 791 * 792 // 2 - 1
-        assert peak < 35 * 2**20
+        assert newlines == 2 + 791 * 792 // 2 - 1
+        assert peak < 2**20
 
 
 # (a, ell) with 0 <= a < ell
@@ -857,12 +861,13 @@ def fraction_reference(a, ell, latex):
 
 
 class TestLowestTerms:
-    """_zetas and _fractions reduce a/ell by gcd; Fraction gives the same text."""
+    """_residues reduces a/ell by gcd for both its zetas and its fractions;
+    Fraction gives the same text."""
 
     @given(RESIDUES, st.booleans())
     def test_logw_matches_fraction(self, a_ell, latex):
         a, ell = a_ell
-        assert korb.cli._fractions([a], ell, latex) == [fraction_reference(a, ell, latex)]
+        assert korb.cli._residues([a], ell, latex)[1] == [fraction_reference(a, ell, latex)]
 
     @given(RESIDUES, st.booleans())
     def test_zeta_matches_fraction(self, s_ell, latex):
@@ -876,7 +881,7 @@ class TestLowestTerms:
             expected = f"e^{{2\\pi i\\,{p}/{q}}}"
         else:
             expected = f"e^(2*pi*i*{p}/{q})"
-        assert korb.cli._zetas([s], ell, latex) == [expected]
+        assert korb.cli._residues([s], ell, latex)[0] == [expected]
 
 
 class TestFactorsRenderedOncePerClass:
@@ -986,6 +991,44 @@ class TestErrorPaths:
         code, _, err = run("verify", "1,2,4", "--trials", "0")
         assert code == 2
         assert err == "error: --trials must be >= 1\n"
+
+    @pytest.mark.parametrize("command", ["table", "present"])
+    @pytest.mark.parametrize(
+        "fmt, patched", [("text", "_prefixes"), ("latex", "_prefixes"), ("json", "euler_product")]
+    )
+    def test_value_error_mid_stream_exits_2(self, monkeypatch, command, fmt, patched):
+        # table and present are written a row at a time, and each row
+        # renders the classes it meets first; on 3,4,5 the classes of two
+        # obstructed weights first show after row 1.  A class renderer that
+        # fails once two chunks are out fails mid-stream: exit 2, korb's
+        # error line and no traceback, and what was written stays written
+        class Chunks(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        _, whole, _ = run(command, "3,4,5", "--format", fmt)
+        out, err = Chunks(), io.StringIO()
+
+        def failing(render):
+            def render_or_fail(ws):
+                if out.writes >= 2:
+                    raise ValueError("class renderer failed")
+                return render(ws)
+            return render_or_fail
+
+        real = getattr(korb.cli, patched)
+        if patched == "_prefixes":
+            monkeypatch.setattr(korb.cli, patched, lambda latex: failing(real(latex)))
+        else:
+            monkeypatch.setattr(korb.cli, patched, failing(real))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "3,4,5", "--format", fmt])
+        assert (code, err.getvalue()) == (2, "error: class renderer failed\n")
+        assert out.writes >= 2
+        assert whole.startswith(out.getvalue()) and len(out.getvalue()) < len(whole)
 
 
 class TestTorsionFailurePath:
@@ -1360,6 +1403,29 @@ class TestSubprocess:
             assert f.read() == b"}\n"
         assert int(proc.stderr) < 800 * 1024
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    @pytest.mark.parametrize("command", ["table", "present"])
+    def test_json_pair_table_8_9_11_peak_memory(self, tmp_path, command):
+        # about 32 MB of JSON, written a row at a time: the child peaked at
+        # 78 MB of VmHWM when the whole document was joined and printed,
+        # and at 17 MB streamed (CPython 3.11).  The child reports its own
+        # peak, as in test_large_ell_peak_memory
+        out = tmp_path / f"{command}.json"
+        with open(out, "wb") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-c", PEAK_MEMORY_CHILD, command, "8,9,11", "--format", "json"],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert out.stat().st_size > 32_000_000
+        with open(out, "rb") as f:
+            f.seek(-2, os.SEEK_END)
+            assert f.read() == b"}\n"
+        assert int(proc.stderr) < 40 * 1024
+
     @pytest.mark.parametrize(
         "argv, lines_read",
         [
@@ -1367,8 +1433,12 @@ class TestSubprocess:
             (("table", "5,7,8"), 1),
             # a few bytes, which a buffered stdout keeps until its last flush
             (("rank", "1,2,4"), 0),
+            # 32 MB and 15 MB, written a row at a time: the pipe closes while
+            # rows are still being made
+            (("table", "8,9,11", "--format", "json"), 1),
+            (("present", "8,9,11"), 1),
         ],
-        ids=["table-5,7,8", "rank-1,2,4"],
+        ids=["table-5,7,8", "rank-1,2,4", "table-8,9,11-json", "present-8,9,11"],
     )
     def test_closed_pipe_keeps_exit_status(self, argv, lines_read):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -27,6 +27,7 @@ from korb.sectors import (
     kernel_generator,
     obstruction_exponent,
     obstruction_set,
+    residue_row,
     sector_pairs,
     sector_rows,
     structure_coefficient,
@@ -115,6 +116,7 @@ class TestResiduesFromWeights:
     def test_carry_keys(self, b):
         d, given = with_table(b)
         assert carry_keys(d, range(d.ell)) == carry_keys(given, range(d.ell))
+        assert carry_keys(d) == carry_keys(given) == carry_keys(d, range(d.ell))
 
     @pytest.mark.parametrize("b", RESIDUE_VECTORS, ids=lambda b: ",".join(map(str, b)))
     def test_sector_rows(self, b):
@@ -360,6 +362,40 @@ ELL_MAX = 2000
 WEIGHT_VECTORS = st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple).filter(
     lambda b: lcm(*b) <= ELL_MAX
 )
+
+
+
+class TestResidueRow:
+    """residue_row(w, ell) repeats the multiples of w below ell w times
+    instead of reducing w*s mod ell per sector; logw, check_exponents and
+    carry_keys build their rows with it, so it must equal the definition."""
+
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=5).map(tuple).filter(
+            lambda b: lcm(*b) <= 5000
+        )
+    )
+    @example((1,))
+    @example((2, 2))
+    @example((8, 9, 11))
+    def test_rows_are_b_s_mod_ell(self, b):
+        d = build_wps(b)
+        ell = d.ell
+        f = ell.bit_length() + 1
+        for k, w in enumerate(b):
+            row = [w * s % ell for s in range(ell)]
+            assert residue_row(w, ell) == row
+            assert residue_row(w, ell, f * k) == [r << f * k for r in row]
+        assert d.logw == tuple(tuple(w * s % ell for s in range(ell)) for w in b)
+        assert carry_keys(d) == carry_keys(d, range(ell))
+
+    def test_a_given_table_comes_back_unchanged(self):
+        # not the residues of 2,3: logw returns it as given, not rebuilt
+        table = ((0, 2, 4, 0, 2, 5), (0, 3, 0, 3, 0, 3))
+        d = WpsData((2, 3), 6, table)
+        assert d.logw is table
+        with pytest.raises(ValueError):
+            carry_keys(d)
 
 
 class TestByClass:

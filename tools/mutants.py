@@ -100,7 +100,17 @@ MUTANTS = (
     ),
     Mutant(
         "the logweight table built from the weights is one sector off",
-        SECTORS, "w * s % self.ell", "w * (s + 1) % self.ell", (T_SECTORS,),
+        SECTORS, "tuple(tuple(residue_row(w, self.ell)) for",
+        "tuple(tuple([*residue_row(w, self.ell)[1:], 0]) for", (T_SECTORS,),
+    ),
+    Mutant(
+        "a residue row repeats the multiples of w below ell w - 1 times",
+        SECTORS, "w << shift)) * w", "w << shift)) * (w - 1)", (T_SECTORS,),
+    ),
+    Mutant(
+        "carry_keys skips its check of a given table when it packs every sector",
+        SECTORS, "if table is not None and list(map(list, table))", "if False and list(map(list, table))",
+        (T_SECTORS,),
     ),
     Mutant(
         "fixed_set loses the last coordinate",
@@ -163,6 +173,18 @@ MUTANTS = (
         "a ValueError from a command exits 1, the status of a failing verify",
         CLI, 'print(f"error: {exc}", file=sys.stderr)\n        return 2',
         'print(f"error: {exc}", file=sys.stderr)\n        return 1', (T_CLI,),
+    ),
+    Mutant(
+        "the separator between streamed rows is dropped",
+        CLI, "            yield sep\n", '            yield ""\n', (T_CLI,),
+    ),
+    Mutant(
+        "a row's first line loses its head",
+        CLI, "return head + (sep + head).join(", "return (sep + head).join(", (T_CLI,),
+    ),
+    Mutant(
+        "a list member of a JSON row object is dumped without indent",
+        CLI, "indent=2 if isinstance(v, list) else None", "indent=None", (T_CLI,),
     ),
     Mutant(
         "verify's text output drops its failure lines",
